@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/common/rng.h"
 #include "src/optimizer/ddpg.h"
 #include "src/optimizer/replay_buffer.h"
@@ -117,6 +119,55 @@ TEST(DdpgTest, LearnsStateIndependentGoodAction) {
     opt.Observe(p, p[0] * 100.0);
   }
   EXPECT_GT(last, 0.5);
+}
+
+// Golden trajectory pin. Every suggestion's bits over 200 iterations
+// with the default DdpgOptions (27-dim state, 64x64 actor and critic,
+// 20 minibatch updates of 32 per Observe) fold into one digest, so any
+// change to the training arithmetic -- summation order, a skipped or
+// reordered RNG draw, a different replay sample -- shows as a new
+// digest. The constants were recorded from the per-sample training
+// loop and must not be edited to make a change pass. The digest
+// assumes glibc's tanh (the actor's output head); another libm may
+// round it differently.
+SearchSpace GoldenSpace(int dims) {
+  std::vector<SearchDim> out;
+  for (int j = 0; j < dims; ++j) {
+    if (j % 5 == 4) {
+      out.push_back(SearchDim::Categorical(2 + j % 4));
+    } else if (j % 3 == 1) {
+      out.push_back(SearchDim::Continuous(-1.0, 3.0, 17));
+    } else {
+      out.push_back(SearchDim::Continuous(0.0, 1.0));
+    }
+  }
+  return SearchSpace(std::move(out));
+}
+
+uint64_t GoldenDigest(int dims, uint64_t seed) {
+  DdpgOptions options;
+  DdpgOptimizer opt(GoldenSpace(dims), options, seed);
+  Rng env(seed + 1000);
+  uint64_t digest = 0;
+  for (int i = 0; i < 200; ++i) {
+    std::vector<double> point = opt.Suggest();
+    digest = HashCombine(digest, HashDoubles(point));
+    std::vector<double> metrics(options.state_dim);
+    for (double& m : metrics) m = env.Uniform(0.0, 2.0);
+    double value = 1000.0 + 50.0 * env.Gaussian();
+    for (double x : point) value += 10.0 * x;
+    opt.ObserveMetrics(metrics);
+    opt.Observe(point, value);
+  }
+  return digest;
+}
+
+TEST(DdpgGoldenTest, SixteenDimTrajectoryIsPinned) {
+  EXPECT_EQ(GoldenDigest(16, 42), 0x9c859324db153940ull);
+}
+
+TEST(DdpgGoldenTest, NinetyDimTrajectoryIsPinned) {
+  EXPECT_EQ(GoldenDigest(90, 7), 0x7af3edd8ddf1b2b9ull);
 }
 
 }  // namespace
