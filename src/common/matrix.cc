@@ -2,28 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace llamatune {
-
-std::vector<double> Matrix::Apply(const std::vector<double>& x) const {
-  std::vector<double> y(rows_, 0.0);
-  for (int r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    const double* row = Row(r);
-    for (int c = 0; c < cols_; ++c) acc += row[c] * x[c];
-    y[r] = acc;
-  }
-  return y;
-}
-
-std::vector<double> Matrix::ApplyTransposed(const std::vector<double>& x) const {
-  std::vector<double> y(cols_, 0.0);
-  for (int r = 0; r < rows_; ++r) {
-    const double* row = Row(r);
-    for (int c = 0; c < cols_; ++c) y[c] += row[c] * x[r];
-  }
-  return y;
-}
 
 void Matrix::Grow(int rows, int cols, double fill) {
   int new_stride = std::max(cols, 2 * stride_);
@@ -237,6 +218,123 @@ void TriangularSolveLowerMulti(const Matrix& l, Matrix* b) {
       double divisor = l.at(i, i);
       for (int c = 0; c < m; ++c) b_i[c] /= divisor;
     }
+  }
+}
+
+namespace {
+
+// Eight independent lanes. Only lane-wise arithmetic is applied, so each
+// lane rounds exactly like the scalar expression it replaces; the
+// compiler lowers the type to whatever vector width the target has.
+// Lanes are passed by pointer or reference, never by value: a by-value
+// vector argument's calling convention depends on that width.
+constexpr int kLanes = 8;
+typedef double Lanes __attribute__((vector_size(kLanes * sizeof(double))));
+
+/// Loads `count` <= kLanes doubles from `p` into `v`; the other lanes
+/// keep their value.
+void LoadLanes(const double* p, int count, Lanes* v) {
+  if (count == kLanes) {
+    std::memcpy(v, p, sizeof(*v));
+  } else {
+    std::memcpy(v, p, static_cast<size_t>(count) * sizeof(double));
+  }
+}
+
+/// Stores the first `count` <= kLanes lanes of `v` to `p`.
+void StoreLanes(const Lanes& v, int count, double* p) {
+  if (count == kLanes) {
+    std::memcpy(p, &v, sizeof(v));
+  } else {
+    std::memcpy(p, &v, static_cast<size_t>(count) * sizeof(double));
+  }
+}
+
+/// Copy of `m` (or of its transpose) whose column count is rounded up
+/// to a multiple of kLanes, the extra columns zero, so every lane
+/// group of a row can be loaded whole.
+Matrix PackLanes(const Matrix& m, bool transpose) {
+  int rows = transpose ? m.cols() : m.rows();
+  int cols = transpose ? m.rows() : m.cols();
+  Matrix packed(rows, (cols + kLanes - 1) / kLanes * kLanes);
+  for (int r = 0; r < m.rows(); ++r) {
+    const double* src = m.Row(r);
+    if (transpose) {
+      for (int c = 0; c < m.cols(); ++c) packed.Row(c)[r] = src[c];
+    } else {
+      std::copy_n(src, m.cols(), packed.Row(r));
+    }
+  }
+  return packed;
+}
+
+/// Z(i, j) += sum_t A(i, t) B(t, j), the products added in ascending t
+/// onto Z's current value; `b` is B packed by PackLanes. Tiles of four
+/// rows by kLanes columns stay in registers across the t loop, so each
+/// B load serves four rows. A short last row group reuses the final row
+/// of A and discards the extra results.
+void AccumulateProductPacked(const Matrix& a, const Matrix& b, Matrix* z) {
+  int n = a.rows();
+  int depth = a.cols();
+  int m = z->cols();
+  for (int i = 0; i < n; i += 4) {
+    int rows = std::min(4, n - i);
+    const double* a0 = a.Row(i);
+    const double* a1 = a.Row(i + std::min(1, rows - 1));
+    const double* a2 = a.Row(i + std::min(2, rows - 1));
+    const double* a3 = a.Row(i + std::min(3, rows - 1));
+    for (int j = 0; j < m; j += kLanes) {
+      int lanes = std::min(kLanes, m - j);
+      Lanes z0 = {}, z1 = {}, z2 = {}, z3 = {};
+      LoadLanes(z->Row(i) + j, lanes, &z0);
+      if (rows > 1) LoadLanes(z->Row(i + 1) + j, lanes, &z1);
+      if (rows > 2) LoadLanes(z->Row(i + 2) + j, lanes, &z2);
+      if (rows > 3) LoadLanes(z->Row(i + 3) + j, lanes, &z3);
+      for (int t = 0; t < depth; ++t) {
+        Lanes v;
+        std::memcpy(&v, b.Row(t) + j, sizeof(v));
+        z0 += v * a0[t];
+        z1 += v * a1[t];
+        z2 += v * a2[t];
+        z3 += v * a3[t];
+      }
+      StoreLanes(z0, lanes, z->Row(i) + j);
+      if (rows > 1) StoreLanes(z1, lanes, z->Row(i + 1) + j);
+      if (rows > 2) StoreLanes(z2, lanes, z->Row(i + 2) + j);
+      if (rows > 3) StoreLanes(z3, lanes, z->Row(i + 3) + j);
+    }
+  }
+}
+
+}  // namespace
+
+Matrix MultiplyTransposedAddBias(const Matrix& x, const Matrix& w,
+                                 const double* b) {
+  Matrix y(x.rows(), w.rows());
+  AccumulateProductPacked(x, PackLanes(w, /*transpose=*/true), &y);
+  for (int i = 0; i < y.rows(); ++i) {
+    double* y_i = y.Row(i);
+    for (int r = 0; r < y.cols(); ++r) y_i[r] += b[r];
+  }
+  return y;
+}
+
+Matrix Multiply(const Matrix& g, const Matrix& w) {
+  Matrix g_in(g.rows(), w.cols());
+  AccumulateProductPacked(g, PackLanes(w, /*transpose=*/false), &g_in);
+  return g_in;
+}
+
+void AccumulateTransposedProduct(const Matrix& g, const Matrix& x,
+                                 Matrix* dw, double* db) {
+  Matrix gt(g.cols(), g.rows());
+  for (int i = 0; i < g.rows(); ++i) {
+    for (int r = 0; r < g.cols(); ++r) gt.at(r, i) = g.at(i, r);
+  }
+  AccumulateProductPacked(gt, PackLanes(x, /*transpose=*/false), dw);
+  for (int i = 0; i < g.rows(); ++i) {
+    const double* g_i = g.Row(i);
+    for (int r = 0; r < g.cols(); ++r) db[r] += g_i[r];
   }
 }
 

@@ -11,8 +11,8 @@ namespace llamatune {
 /// storage.
 ///
 /// The shared math-core type: the GP Gram/Cholesky hot path, the
-/// surrogate prediction batches, and the DDPG actor/critic networks all
-/// run over it. Rows are contiguous, so row-wise kernels and
+/// surrogate prediction batches, and the DDPG actor/critic minibatches
+/// all run over it. Rows are contiguous, so row-wise kernels and
 /// triangular-solve inner loops stream linearly through memory instead
 /// of chasing per-row allocations.
 class Matrix {
@@ -49,12 +49,6 @@ class Matrix {
   /// true for every freshly constructed matrix.
   std::vector<double>& data() { return data_; }
   const std::vector<double>& data() const { return data_; }
-
-  /// y = M x  (x has cols() entries; y has rows() entries).
-  std::vector<double> Apply(const std::vector<double>& x) const;
-
-  /// y = M^T x (x has rows() entries; y has cols() entries).
-  std::vector<double> ApplyTransposed(const std::vector<double>& x) const;
 
   /// Resizes to (rows, cols) keeping the overlapping top-left block;
   /// new cells are set to `fill`. Capacity grows geometrically, so the
@@ -117,6 +111,37 @@ void TriangularSolveLowerTransposed(const Matrix& l, const double* b,
 /// is bit-for-bit what TriangularSolveLower would produce for column c
 /// alone.
 void TriangularSolveLowerMulti(const Matrix& l, Matrix* b);
+
+/// @}
+
+/// \name Batched dense-layer kernels (the DDPG training hot path)
+///
+/// One sample per row: X is n x in, W is out x in, G is n x out.
+///
+/// Summation-order contract: every output element is the sum of its
+/// products taken in ascending order of the reduction index, starting
+/// from the same value as the one-sample formulation -- 0.0 for Y and
+/// G_in (the bias is added after the sum), and the current dW/db
+/// entry for the gradients, with samples added in ascending row order.
+/// The kernels vectorise only across independent output elements,
+/// never across a reduction, so with FP contraction off (the build
+/// pins -ffp-contract=off) a result is bit-for-bit the plain
+/// per-sample loop and does not depend on the SIMD width.
+/// TriangularSolveLowerMulti makes the same promise.
+/// @{
+
+/// Y = X W^T + b: Y(i, r) = (sum_c X(i, c) W(r, c)) + b[r], with `b`
+/// holding W.rows() entries.
+Matrix MultiplyTransposedAddBias(const Matrix& x, const Matrix& w,
+                                 const double* b);
+
+/// G_in = G W: G_in(i, c) = sum_r G(i, r) W(r, c), ascending r.
+Matrix Multiply(const Matrix& g, const Matrix& w);
+
+/// dW += G^T X and db += G^T 1: for each sample i in ascending order,
+/// dW(r, c) += G(i, r) X(i, c) and db[r] += G(i, r).
+void AccumulateTransposedProduct(const Matrix& g, const Matrix& x,
+                                 Matrix* dw, double* db);
 
 /// @}
 

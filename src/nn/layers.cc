@@ -14,21 +14,16 @@ LinearLayer::LinearLayer(int in_dim, int out_dim, Rng* rng)
   for (double& v : w_.data()) v = rng->Uniform(-bound, bound);
 }
 
-std::vector<double> LinearLayer::Forward(const std::vector<double>& x) {
-  last_input_ = x;
-  std::vector<double> y = w_.Apply(x);
-  for (int i = 0; i < static_cast<int>(y.size()); ++i) y[i] += b_[i];
-  return y;
+Matrix LinearLayer::Forward(const Matrix& x) const {
+  return MultiplyTransposedAddBias(x, w_, b_.data());
 }
 
-std::vector<double> LinearLayer::Backward(const std::vector<double>& grad_out) {
-  for (int r = 0; r < w_.rows(); ++r) {
-    db_[r] += grad_out[r];
-    for (int c = 0; c < w_.cols(); ++c) {
-      dw_.at(r, c) += grad_out[r] * last_input_[c];
-    }
+void LinearLayer::Backward(const Matrix& x, const Matrix& grad_out,
+                           ParamGrads params, Matrix* grad_in) {
+  if (params == ParamGrads::kAccumulate) {
+    AccumulateTransposedProduct(grad_out, x, &dw_, db_.data());
   }
-  return w_.ApplyTransposed(grad_out);
+  if (grad_in != nullptr) *grad_in = Multiply(grad_out, w_);
 }
 
 void LinearLayer::ZeroGrad() {
@@ -36,38 +31,34 @@ void LinearLayer::ZeroGrad() {
   for (double& v : db_) v = 0.0;
 }
 
-std::vector<double> TanhLayer::Forward(const std::vector<double>& x) {
-  last_output_.resize(x.size());
-  for (size_t i = 0; i < x.size(); ++i) last_output_[i] = std::tanh(x[i]);
-  return last_output_;
+void TanhForward(Matrix* h) {
+  for (int i = 0; i < h->rows(); ++i) {
+    double* row = h->Row(i);
+    for (int c = 0; c < h->cols(); ++c) row[c] = std::tanh(row[c]);
+  }
 }
 
-std::vector<double> TanhLayer::Backward(
-    const std::vector<double>& grad_out) const {
-  std::vector<double> grad_in(grad_out.size());
-  for (size_t i = 0; i < grad_out.size(); ++i) {
-    grad_in[i] = grad_out[i] * (1.0 - last_output_[i] * last_output_[i]);
+void TanhBackward(const Matrix& y, Matrix* grad) {
+  for (int i = 0; i < y.rows(); ++i) {
+    const double* y_i = y.Row(i);
+    double* g_i = grad->Row(i);
+    for (int c = 0; c < y.cols(); ++c) g_i[c] *= 1.0 - y_i[c] * y_i[c];
   }
-  return grad_in;
 }
 
-std::vector<double> ReluLayer::Forward(const std::vector<double>& x) {
-  mask_.resize(x.size());
-  std::vector<double> y(x.size());
-  for (size_t i = 0; i < x.size(); ++i) {
-    mask_[i] = x[i] > 0.0;
-    y[i] = mask_[i] ? x[i] : 0.0;
+void ReluForward(Matrix* h) {
+  for (int i = 0; i < h->rows(); ++i) {
+    double* row = h->Row(i);
+    for (int c = 0; c < h->cols(); ++c) row[c] = row[c] > 0.0 ? row[c] : 0.0;
   }
-  return y;
 }
 
-std::vector<double> ReluLayer::Backward(
-    const std::vector<double>& grad_out) const {
-  std::vector<double> grad_in(grad_out.size());
-  for (size_t i = 0; i < grad_out.size(); ++i) {
-    grad_in[i] = mask_[i] ? grad_out[i] : 0.0;
+void ReluBackward(const Matrix& y, Matrix* grad) {
+  for (int i = 0; i < y.rows(); ++i) {
+    const double* y_i = y.Row(i);
+    double* g_i = grad->Row(i);
+    for (int c = 0; c < y.cols(); ++c) g_i[c] = y_i[c] > 0.0 ? g_i[c] : 0.0;
   }
-  return grad_in;
 }
 
 }  // namespace llamatune

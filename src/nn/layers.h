@@ -7,17 +7,28 @@
 
 namespace llamatune {
 
-/// \brief Fully connected layer y = W x + b with manual backprop.
+/// \brief Whether a backward pass adds into the parameter gradients.
+/// kSkip serves pass-through backprop (the DDPG actor update runs
+/// through the frozen critic) and leaves dW/db untouched.
+enum class ParamGrads { kAccumulate, kSkip };
+
+/// \brief Fully connected layer Y = X W^T + b over a minibatch (one
+/// sample per row) with manual backprop.
 ///
-/// Forward caches the input; Backward accumulates dW/db and returns
-/// the gradient with respect to the input. Gradients accumulate until
-/// ZeroGrad() so minibatch updates sum naturally.
+/// The layer keeps no activations: Backward takes the batch that was
+/// passed to Forward. Gradients accumulate until ZeroGrad() so
+/// minibatch updates sum naturally.
 class LinearLayer {
  public:
   LinearLayer(int in_dim, int out_dim, Rng* rng);
 
-  std::vector<double> Forward(const std::vector<double>& x);
-  std::vector<double> Backward(const std::vector<double>& grad_out);
+  Matrix Forward(const Matrix& x) const;
+
+  /// Given the forward input `x` and d(loss)/d(output) `grad_out`,
+  /// adds dW/db (unless `params` is kSkip) and, when `grad_in` is
+  /// non-null, writes d(loss)/d(input) into it.
+  void Backward(const Matrix& x, const Matrix& grad_out, ParamGrads params,
+                Matrix* grad_in);
 
   void ZeroGrad();
 
@@ -33,27 +44,18 @@ class LinearLayer {
   std::vector<double> b_;
   Matrix dw_;
   std::vector<double> db_;
-  std::vector<double> last_input_;
 };
 
-/// \brief Elementwise tanh with cached output for backprop.
-class TanhLayer {
- public:
-  std::vector<double> Forward(const std::vector<double>& x);
-  std::vector<double> Backward(const std::vector<double>& grad_out) const;
-
- private:
-  std::vector<double> last_output_;
-};
-
-/// \brief Elementwise ReLU with cached mask for backprop.
-class ReluLayer {
- public:
-  std::vector<double> Forward(const std::vector<double>& x);
-  std::vector<double> Backward(const std::vector<double>& grad_out) const;
-
- private:
-  std::vector<bool> mask_;
-};
+/// \name Elementwise activations over a batch, in place
+///
+/// Backward takes the forward *output* `y`: tanh' = 1 - y^2, and the
+/// ReLU mask is y > 0, which holds exactly when the input was > 0
+/// (an input of 0 counts as inactive).
+/// @{
+void TanhForward(Matrix* h);
+void TanhBackward(const Matrix& y, Matrix* grad);
+void ReluForward(Matrix* h);
+void ReluBackward(const Matrix& y, Matrix* grad);
+/// @}
 
 }  // namespace llamatune

@@ -1,5 +1,7 @@
 #include "src/nn/mlp.h"
 
+#include <algorithm>
+
 namespace llamatune {
 
 Mlp::Mlp(int in_dim, std::vector<int> hidden_dims, int out_dim,
@@ -12,33 +14,63 @@ Mlp::Mlp(int in_dim, std::vector<int> hidden_dims, int out_dim,
     prev = h;
   }
   linears_.push_back(std::make_unique<LinearLayer>(prev, out_dim, rng));
-  relus_.resize(hidden_dims.size());
 }
 
-std::vector<double> Mlp::Forward(const std::vector<double>& x) {
-  std::vector<double> h = x;
-  for (size_t i = 0; i + 1 < linears_.size(); ++i) {
-    h = linears_[i]->Forward(h);
-    h = relus_[i].Forward(h);
-  }
-  h = linears_.back()->Forward(h);
-  if (output_activation_ == OutputActivation::kTanh) {
-    h = out_tanh_.Forward(h);
+Matrix Mlp::Run(const Matrix& x, MlpTape* tape) const {
+  // Taped, each layer reads its input from the tape and its output is
+  // moved there; untaped, only the latest output is kept.
+  if (tape != nullptr) tape->activations.assign(1, x);
+  Matrix h;
+  for (size_t i = 0; i < linears_.size(); ++i) {
+    const Matrix& in =
+        tape != nullptr ? tape->activations.back() : (i == 0 ? x : h);
+    h = linears_[i]->Forward(in);
+    if (i + 1 == linears_.size()) {
+      if (output_activation_ == OutputActivation::kTanh) TanhForward(&h);
+    } else {
+      ReluForward(&h);
+      if (tape != nullptr) tape->activations.push_back(std::move(h));
+    }
   }
   return h;
 }
 
-std::vector<double> Mlp::Backward(const std::vector<double>& grad_out) {
-  std::vector<double> g = grad_out;
+Matrix Mlp::Forward(const Matrix& x) const { return Run(x, nullptr); }
+
+const Matrix& Mlp::Forward(const Matrix& x, MlpTape* tape) const {
+  Matrix y = Run(x, tape);
+  tape->activations.push_back(std::move(y));
+  return tape->activations.back();
+}
+
+std::vector<double> Mlp::Forward(const std::vector<double>& x) const {
+  Matrix batch(1, static_cast<int>(x.size()));
+  std::copy(x.begin(), x.end(), batch.Row(0));
+  Matrix y = Run(batch, nullptr);
+  return std::vector<double>(y.Row(0), y.Row(0) + y.cols());
+}
+
+void Mlp::Backward(const MlpTape& tape, Matrix grad_out, ParamGrads params,
+                   Matrix* grad_in) {
+  // activations[i] is the input of linears_[i]; the last entry is the
+  // network output.
+  const std::vector<Matrix>& acts = tape.activations;
+  Matrix g = std::move(grad_out);
   if (output_activation_ == OutputActivation::kTanh) {
-    g = out_tanh_.Backward(g);
+    TanhBackward(acts.back(), &g);
   }
-  g = linears_.back()->Backward(g);
-  for (int i = static_cast<int>(linears_.size()) - 2; i >= 0; --i) {
-    g = relus_[i].Backward(g);
-    g = linears_[i]->Backward(g);
+  for (int i = static_cast<int>(linears_.size()) - 1; i >= 0; --i) {
+    if (i + 1 < static_cast<int>(linears_.size())) {
+      ReluBackward(acts[i + 1], &g);
+    }
+    if (i == 0) {
+      linears_[i]->Backward(acts[i], g, params, grad_in);
+    } else {
+      Matrix g_prev;
+      linears_[i]->Backward(acts[i], g, params, &g_prev);
+      g = std::move(g_prev);
+    }
   }
-  return g;
 }
 
 void Mlp::ZeroGrad() {

@@ -12,19 +12,37 @@ namespace llamatune {
 /// \brief Output nonlinearity of an Mlp.
 enum class OutputActivation { kLinear, kTanh };
 
+/// \brief Activations recorded by a taped Mlp::Forward for Backward:
+/// the network input, each hidden layer's ReLU output, and the network
+/// output (one sample per row). Owned by the caller, so it lives only
+/// as long as the training step that needs it.
+struct MlpTape {
+  std::vector<Matrix> activations;
+};
+
 /// \brief Small fully connected network: Linear+ReLU hidden layers and
-/// a linear or tanh output head. Used for the DDPG actor (tanh head)
-/// and critic (linear head).
+/// a linear or tanh output head, run a minibatch at a time. Used for
+/// the DDPG actor (tanh head) and critic (linear head).
 class Mlp {
  public:
   Mlp(int in_dim, std::vector<int> hidden_dims, int out_dim,
       OutputActivation output_activation, Rng* rng);
 
-  std::vector<double> Forward(const std::vector<double>& x);
+  /// Runs a batch (one sample per row) and returns the outputs.
+  Matrix Forward(const Matrix& x) const;
 
-  /// Backpropagates d(loss)/d(output); accumulates parameter grads and
-  /// returns d(loss)/d(input).
-  std::vector<double> Backward(const std::vector<double>& grad_out);
+  /// As above, recording the activations Backward needs into `tape`;
+  /// returns the outputs held by the tape.
+  const Matrix& Forward(const Matrix& x, MlpTape* tape) const;
+
+  /// One sample: a one-row batch.
+  std::vector<double> Forward(const std::vector<double>& x) const;
+
+  /// Backpropagates d(loss)/d(output) through the batch recorded in
+  /// `tape`. Adds parameter gradients unless `params` is kSkip and,
+  /// when `grad_in` is non-null, writes d(loss)/d(input) into it.
+  void Backward(const MlpTape& tape, Matrix grad_out, ParamGrads params,
+                Matrix* grad_in = nullptr);
 
   void ZeroGrad();
 
@@ -42,12 +60,13 @@ class Mlp {
   int out_dim() const { return out_dim_; }
 
  private:
+  /// Shared by both Forward overloads; `tape` may be null.
+  Matrix Run(const Matrix& x, MlpTape* tape) const;
+
   int in_dim_;
   int out_dim_;
   OutputActivation output_activation_;
   std::vector<std::unique_ptr<LinearLayer>> linears_;
-  std::vector<ReluLayer> relus_;
-  TanhLayer out_tanh_;
 };
 
 }  // namespace llamatune

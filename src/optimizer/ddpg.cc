@@ -75,7 +75,6 @@ std::vector<double> DdpgOptimizer::Suggest() {
   if (!have_state_) {
     // No DBMS state yet: explore uniformly.
     std::vector<double> point = UniformSample(space_, &rng_);
-    last_action_ = PointToAction(point);
     prev_state_.assign(options_.state_dim, 0.0);
     have_pending_action_ = true;
     return point;
@@ -85,7 +84,6 @@ std::vector<double> DdpgOptimizer::Suggest() {
     a = Clamp(a + rng_.Gaussian(0.0, noise_), -1.0, 1.0);
   }
   noise_ = std::max(options_.min_noise, noise_ * options_.noise_decay);
-  last_action_ = action;
   prev_state_ = state_;
   have_pending_action_ = true;
   return ActionToPoint(action);
@@ -115,7 +113,6 @@ void DdpgOptimizer::Observe(const std::vector<double>& point, double value) {
   if (have_pending_action_) {
     Transition transition;
     transition.state = prev_state_;
-    transition.action = last_action_;
     transition.reward = reward;
     transition.next_state =
         have_state_ ? state_ : std::vector<double>(options_.state_dim, 0.0);
@@ -128,46 +125,80 @@ void DdpgOptimizer::Observe(const std::vector<double>& point, double value) {
   for (int u = 0; u < options_.updates_per_observe; ++u) TrainStep();
 }
 
+namespace {
+
+/// Writes `left` and then `right` side by side into row i of `out`.
+void ConcatRow(const std::vector<double>& left, const double* right,
+               int right_cols, int i, Matrix* out) {
+  double* row = out->Row(i);
+  std::copy(left.begin(), left.end(), row);
+  std::copy_n(right, right_cols, row + left.size());
+}
+
+}  // namespace
+
 void DdpgOptimizer::TrainStep() {
   if (replay_.size() < options_.batch_size / 2 || replay_.size() < 4) return;
-  std::vector<Transition> batch = replay_.Sample(options_.batch_size, &rng_);
-  double inv_n = 1.0 / static_cast<double>(batch.size());
+  std::vector<const Transition*> batch =
+      replay_.Sample(options_.batch_size, &rng_);
+  int n = static_cast<int>(batch.size());
+  int state_dim = options_.state_dim;
+  int action_dim = space_.num_dims();
+  double inv_n = 1.0 / static_cast<double>(n);
+
+  // Each network runs once over the whole minibatch, one sample per
+  // row. The kernels' summation-order contract (src/common/matrix.h)
+  // makes every update bit-for-bit independent of the batching.
+  Matrix states(n, state_dim);
+  Matrix next_states(n, state_dim);
+  Matrix critic_in(n, state_dim + action_dim);
+  for (int i = 0; i < n; ++i) {
+    const Transition& tr = *batch[i];
+    std::copy(tr.state.begin(), tr.state.end(), states.Row(i));
+    std::copy(tr.next_state.begin(), tr.next_state.end(),
+              next_states.Row(i));
+    ConcatRow(tr.state, tr.action.data(), action_dim, i, &critic_in);
+  }
 
   // --- Critic update: minimize (Q(s,a) - y)^2, y = r + gamma Q'(s',mu'(s')).
-  critic_->ZeroGrad();
-  for (const Transition& tr : batch) {
-    std::vector<double> next_action = actor_target_->Forward(tr.next_state);
-    std::vector<double> next_input = tr.next_state;
-    next_input.insert(next_input.end(), next_action.begin(),
-                      next_action.end());
-    double q_next = critic_target_->Forward(next_input)[0];
-    double y = tr.reward + options_.gamma * q_next;
-
-    std::vector<double> input = tr.state;
-    input.insert(input.end(), tr.action.begin(), tr.action.end());
-    double q = critic_->Forward(input)[0];
-    std::vector<double> grad_out = {2.0 * (q - y) * inv_n};
-    critic_->Backward(grad_out);
+  Matrix next_actions = actor_target_->Forward(next_states);
+  Matrix next_in(n, state_dim + action_dim);
+  for (int i = 0; i < n; ++i) {
+    ConcatRow(batch[i]->next_state, next_actions.Row(i), action_dim, i,
+              &next_in);
   }
+  Matrix q_next = critic_target_->Forward(next_in);
+  MlpTape critic_tape;
+  const Matrix& q = critic_->Forward(critic_in, &critic_tape);
+  Matrix grad_q(n, 1);
+  for (int i = 0; i < n; ++i) {
+    double y = batch[i]->reward + options_.gamma * q_next.at(i, 0);
+    grad_q.at(i, 0) = 2.0 * (q.at(i, 0) - y) * inv_n;
+  }
+  critic_->ZeroGrad();
+  critic_->Backward(critic_tape, std::move(grad_q), ParamGrads::kAccumulate);
   critic_adam_.Step();
 
   // --- Actor update: maximize Q(s, mu(s)) => gradient ascent through
   // the (frozen) critic into the actor.
-  actor_->ZeroGrad();
-  critic_->ZeroGrad();  // reuse critic buffers for pass-through grads
-  for (const Transition& tr : batch) {
-    std::vector<double> action = actor_->Forward(tr.state);
-    std::vector<double> input = tr.state;
-    input.insert(input.end(), action.begin(), action.end());
-    critic_->Forward(input);
-    std::vector<double> grad_q = {-inv_n};  // ascend Q
-    std::vector<double> grad_input = critic_->Backward(grad_q);
-    std::vector<double> grad_action(grad_input.begin() + options_.state_dim,
-                                    grad_input.end());
-    actor_->Backward(grad_action);
+  MlpTape actor_tape;
+  const Matrix& actions = actor_->Forward(states, &actor_tape);
+  for (int i = 0; i < n; ++i) {
+    ConcatRow(batch[i]->state, actions.Row(i), action_dim, i, &critic_in);
   }
+  critic_->Forward(critic_in, &critic_tape);
+  Matrix grad_input;
+  critic_->Backward(critic_tape, Matrix(n, 1, -inv_n), ParamGrads::kSkip,
+                    &grad_input);
+  Matrix grad_action(n, action_dim);
+  for (int i = 0; i < n; ++i) {
+    std::copy_n(grad_input.Row(i) + state_dim, action_dim,
+                grad_action.Row(i));
+  }
+  actor_->ZeroGrad();
+  actor_->Backward(actor_tape, std::move(grad_action),
+                   ParamGrads::kAccumulate);
   actor_adam_.Step();
-  critic_->ZeroGrad();  // discard pass-through critic grads
 
   // --- Soft target updates.
   actor_target_->SoftUpdateFrom(*actor_, options_.tau);

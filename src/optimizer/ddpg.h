@@ -68,7 +68,6 @@ class DdpgOptimizer : public Optimizer {
 
   std::vector<double> state_;       // current metrics (s_t)
   std::vector<double> prev_state_;  // metrics before last action
-  std::vector<double> last_action_;
   bool have_state_ = false;
   bool have_pending_action_ = false;
   double initial_perf_ = 0.0;

@@ -11,16 +11,16 @@ void ReplayBuffer::Add(Transition transition) {
   }
 }
 
-std::vector<Transition> ReplayBuffer::Sample(size_t batch_size,
-                                             Rng* rng) const {
-  std::vector<Transition> batch;
+std::vector<const Transition*> ReplayBuffer::Sample(size_t batch_size,
+                                                    Rng* rng) const {
+  std::vector<const Transition*> batch;
   if (buffer_.empty()) return batch;
   size_t n = std::min(batch_size, buffer_.size());
   batch.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     size_t idx = static_cast<size_t>(
         rng->UniformInt(0, static_cast<int64_t>(buffer_.size()) - 1));
-    batch.push_back(buffer_[idx]);
+    batch.push_back(&buffer_[idx]);
   }
   return batch;
 }

@@ -23,8 +23,9 @@ class ReplayBuffer {
   void Add(Transition transition);
 
   /// Samples `batch_size` transitions uniformly with replacement.
-  /// Returns fewer when the buffer holds fewer.
-  std::vector<Transition> Sample(size_t batch_size, Rng* rng) const;
+  /// Returns fewer when the buffer holds fewer. The pointers stay valid
+  /// until the next Add().
+  std::vector<const Transition*> Sample(size_t batch_size, Rng* rng) const;
 
   size_t size() const { return buffer_.size(); }
   size_t capacity() const { return capacity_; }

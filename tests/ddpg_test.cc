@@ -21,8 +21,8 @@ TEST(ReplayBufferTest, GrowsThenWrapsFifo) {
   Rng rng(1);
   bool saw_old = false;
   for (int i = 0; i < 100; ++i) {
-    for (const Transition& t : buffer.Sample(3, &rng)) {
-      if (t.reward < 2.0) saw_old = true;
+    for (const Transition* t : buffer.Sample(3, &rng)) {
+      if (t->reward < 2.0) saw_old = true;
     }
   }
   EXPECT_FALSE(saw_old);

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/common/matrix.h"
@@ -18,16 +22,26 @@ TEST(MatrixTest, FlatRowMajorAccess) {
   EXPECT_EQ(m.Row(1)[1], 3.0);
 }
 
-TEST(MatrixTest, ApplyAndTranspose) {
-  Matrix m(2, 3);
+TEST(MatrixTest, DenseLayerKernelsOnKnownMatrix) {
+  Matrix w(2, 3);
   // [[1,2,3],[4,5,6]]
   for (int c = 0; c < 3; ++c) {
-    m.at(0, c) = c + 1.0;
-    m.at(1, c) = c + 4.0;
+    w.at(0, c) = c + 1.0;
+    w.at(1, c) = c + 4.0;
   }
-  EXPECT_EQ(m.Apply({1.0, 1.0, 1.0}), (std::vector<double>{6.0, 15.0}));
-  EXPECT_EQ(m.ApplyTransposed({1.0, 1.0}),
-            (std::vector<double>{5.0, 7.0, 9.0}));
+  Matrix ones3(1, 3, 1.0);
+  double bias[] = {0.5, -1.0};
+  Matrix y = MultiplyTransposedAddBias(ones3, w, bias);
+  EXPECT_EQ(y.data(), (std::vector<double>{6.5, 14.0}));
+  Matrix ones2(1, 2, 1.0);
+  EXPECT_EQ(Multiply(ones2, w).data(), (std::vector<double>{5.0, 7.0, 9.0}));
+  Matrix dw(2, 3);
+  double db[] = {0.0, 0.0};
+  AccumulateTransposedProduct(ones2, ones3, &dw, db);
+  AccumulateTransposedProduct(ones2, ones3, &dw, db);
+  EXPECT_EQ(dw.data(), (std::vector<double>(6, 2.0)));
+  EXPECT_EQ(db[0], 2.0);
+  EXPECT_EQ(db[1], 2.0);
 }
 
 TEST(MatrixTest, ResizePreserveKeepsTopLeftBlock) {
@@ -181,6 +195,91 @@ TEST(FlatSolveTest, MultiRhsMatchesSingleSolvesBitForBit) {
     }
   }
 }
+
+// The batched dense-layer kernels against plain per-sample loops,
+// written out here in the one-sample order the kernels promise. Values
+// span many binades, so any reordering of a sum changes its low bits
+// and the bitwise comparison catches it.
+double Spread(Rng* rng) {
+  return rng->Uniform(-1.0, 1.0) *
+         std::ldexp(1.0, static_cast<int>(rng->UniformInt(-20, 20)));
+}
+
+Matrix SpreadMatrix(int rows, int cols, Rng* rng) {
+  Matrix m(rows, cols);
+  for (double& v : m.data()) v = Spread(rng);
+  return m;
+}
+
+void ExpectSameBits(const double* got, const double* want, int count,
+                    const std::string& where) {
+  for (int k = 0; k < count; ++k) {
+    uint64_t g, w;
+    std::memcpy(&g, &got[k], sizeof(g));
+    std::memcpy(&w, &want[k], sizeof(w));
+    ASSERT_EQ(g, w) << where << " element " << k << ": " << got[k]
+                    << " vs " << want[k];
+  }
+}
+
+class DenseKernelContract
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(DenseKernelContract, MatchesPerSampleLoopsBitForBit) {
+  auto [n, in, out] = GetParam();
+  Rng rng(static_cast<uint64_t>(n * 100000 + in * 100 + out));
+  Matrix x = SpreadMatrix(n, in, &rng);
+  Matrix w = SpreadMatrix(out, in, &rng);
+  Matrix g = SpreadMatrix(n, out, &rng);
+  std::vector<double> b(out);
+  for (double& v : b) v = Spread(&rng);
+
+  Matrix y = MultiplyTransposedAddBias(x, w, b.data());
+  Matrix g_in = Multiply(g, w);
+  ASSERT_EQ(y.rows(), n);
+  ASSERT_EQ(y.cols(), out);
+  ASSERT_EQ(g_in.rows(), n);
+  ASSERT_EQ(g_in.cols(), in);
+  for (int i = 0; i < n; ++i) {
+    std::vector<double> want_y(out);
+    for (int r = 0; r < out; ++r) {
+      double acc = 0.0;
+      for (int c = 0; c < in; ++c) acc += w.at(r, c) * x.at(i, c);
+      want_y[r] = acc + b[r];
+    }
+    ExpectSameBits(y.Row(i), want_y.data(), out, "Y row " + std::to_string(i));
+    std::vector<double> want_in(in, 0.0);
+    for (int r = 0; r < out; ++r) {
+      for (int c = 0; c < in; ++c) want_in[c] += w.at(r, c) * g.at(i, r);
+    }
+    ExpectSameBits(g_in.Row(i), want_in.data(), in,
+                   "G_in row " + std::to_string(i));
+  }
+
+  // Gradients accumulate onto whatever dW/db already hold.
+  Matrix dw = SpreadMatrix(out, in, &rng);
+  std::vector<double> db(out);
+  for (double& v : db) v = Spread(&rng);
+  Matrix want_dw = dw;
+  std::vector<double> want_db = db;
+  AccumulateTransposedProduct(g, x, &dw, db.data());
+  for (int i = 0; i < n; ++i) {
+    for (int r = 0; r < out; ++r) {
+      want_db[r] += g.at(i, r);
+      for (int c = 0; c < in; ++c) want_dw.at(r, c) += g.at(i, r) * x.at(i, c);
+    }
+  }
+  for (int r = 0; r < out; ++r) {
+    ExpectSameBits(dw.Row(r), want_dw.Row(r), in, "dW row " + std::to_string(r));
+  }
+  ExpectSameBits(db.data(), want_db.data(), out, "db");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, DenseKernelContract,
+    ::testing::Combine(::testing::Values(1, 3, 8, 31, 32, 33),
+                       ::testing::Values(1, 27, 43, 117),
+                       ::testing::Values(1, 16, 64, 90)));
 
 }  // namespace
 }  // namespace llamatune

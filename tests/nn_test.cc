@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/nn/adam.h"
@@ -11,22 +13,22 @@
 namespace llamatune {
 namespace {
 
-TEST(MatrixTest, ApplyAndTransposed) {
-  Matrix m(2, 3);
-  // [[1,2,3],[4,5,6]]
-  m.at(0, 0) = 1; m.at(0, 1) = 2; m.at(0, 2) = 3;
-  m.at(1, 0) = 4; m.at(1, 1) = 5; m.at(1, 2) = 6;
-  std::vector<double> x = {1.0, 1.0, 1.0};
-  auto y = m.Apply(x);
-  ASSERT_EQ(y.size(), 2u);
-  EXPECT_DOUBLE_EQ(y[0], 6.0);
-  EXPECT_DOUBLE_EQ(y[1], 15.0);
-  std::vector<double> z = {1.0, 1.0};
-  auto t = m.ApplyTransposed(z);
-  ASSERT_EQ(t.size(), 3u);
-  EXPECT_DOUBLE_EQ(t[0], 5.0);
-  EXPECT_DOUBLE_EQ(t[1], 7.0);
-  EXPECT_DOUBLE_EQ(t[2], 9.0);
+Matrix Batch(const std::vector<std::vector<double>>& rows) {
+  Matrix m(static_cast<int>(rows.size()), static_cast<int>(rows[0].size()));
+  for (int i = 0; i < m.rows(); ++i) {
+    for (int c = 0; c < m.cols(); ++c) m.at(i, c) = rows[i][c];
+  }
+  return m;
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (int i = 0; i < a.rows(); ++i) {
+    if (std::memcmp(a.Row(i), b.Row(i), sizeof(double) * a.cols()) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 TEST(LinearLayerTest, ForwardMatchesManual) {
@@ -35,60 +37,94 @@ TEST(LinearLayerTest, ForwardMatchesManual) {
   layer.weights().at(0, 0) = 2.0;
   layer.weights().at(0, 1) = -1.0;
   layer.bias()[0] = 0.5;
-  auto y = layer.Forward({3.0, 4.0});
-  EXPECT_DOUBLE_EQ(y[0], 2.0 * 3.0 - 4.0 + 0.5);
+  Matrix y = layer.Forward(Batch({{3.0, 4.0}, {1.0, 0.0}}));
+  EXPECT_DOUBLE_EQ(y.at(0, 0), 2.0 * 3.0 - 4.0 + 0.5);
+  EXPECT_DOUBLE_EQ(y.at(1, 0), 2.0 + 0.5);
 }
 
 TEST(LinearLayerTest, NumericalGradientCheck) {
   Rng rng(2);
   LinearLayer layer(3, 2, &rng);
-  std::vector<double> x = {0.3, -0.7, 1.1};
-  // Loss = sum(outputs); d(loss)/d(out) = ones.
+  Matrix x = Batch({{0.3, -0.7, 1.1}, {-0.2, 0.5, 0.4}});
+  auto loss = [&]() {
+    // Loss = sum of every output of every sample; dL/dY = ones.
+    Matrix y = layer.Forward(x);
+    double sum = 0.0;
+    for (double v : y.data()) sum += v;
+    return sum;
+  };
   layer.ZeroGrad();
-  layer.Forward(x);
-  std::vector<double> grad_in = layer.Backward({1.0, 1.0});
+  Matrix grad_in;
+  layer.Backward(x, Matrix(2, 2, 1.0), ParamGrads::kAccumulate, &grad_in);
 
   const double eps = 1e-6;
-  // Check dW numerically for a few entries.
   for (int r = 0; r < 2; ++r) {
     for (int c = 0; c < 3; ++c) {
       double orig = layer.weights().at(r, c);
       layer.weights().at(r, c) = orig + eps;
-      auto up = layer.Forward(x);
+      double up = loss();
       layer.weights().at(r, c) = orig - eps;
-      auto down = layer.Forward(x);
+      double down = loss();
       layer.weights().at(r, c) = orig;
-      double numeric =
-          ((up[0] + up[1]) - (down[0] + down[1])) / (2.0 * eps);
-      EXPECT_NEAR(layer.weight_grads().at(r, c), numeric, 1e-5);
+      EXPECT_NEAR(layer.weight_grads().at(r, c), (up - down) / (2.0 * eps),
+                  1e-5);
+    }
+    EXPECT_DOUBLE_EQ(layer.bias_grads()[r], 2.0);  // one per sample
+  }
+  // Each sample's input gradient equals the column sums of W.
+  for (int i = 0; i < 2; ++i) {
+    for (int c = 0; c < 3; ++c) {
+      double expected = layer.weights().at(0, c) + layer.weights().at(1, c);
+      EXPECT_NEAR(grad_in.at(i, c), expected, 1e-9);
     }
   }
-  // Gradient wrt input equals column sums of W.
-  for (int c = 0; c < 3; ++c) {
-    double expected = layer.weights().at(0, c) + layer.weights().at(1, c);
-    EXPECT_NEAR(grad_in[c], expected, 1e-9);
-  }
+}
+
+TEST(LinearLayerTest, SkipLeavesParamGradsByteIdentical) {
+  Rng rng(3);
+  LinearLayer layer(5, 4, &rng);
+  for (double& v : layer.weight_grads().data()) v = rng.Gaussian();
+  for (double& v : layer.bias_grads()) v = rng.Gaussian();
+  Matrix dw_before = layer.weight_grads();
+  std::vector<double> db_before = layer.bias_grads();
+  Matrix x(3, 5), g(3, 4);
+  for (double& v : x.data()) v = rng.Gaussian();
+  for (double& v : g.data()) v = rng.Gaussian();
+
+  Matrix skipped;
+  layer.Backward(x, g, ParamGrads::kSkip, &skipped);
+  EXPECT_TRUE(SameBits(layer.weight_grads(), dw_before));
+  EXPECT_EQ(std::memcmp(layer.bias_grads().data(), db_before.data(),
+                        sizeof(double) * db_before.size()),
+            0);
+  // The input gradient does not depend on the mode.
+  Matrix accumulated;
+  layer.Backward(x, g, ParamGrads::kAccumulate, &accumulated);
+  EXPECT_TRUE(SameBits(skipped, accumulated));
+  EXPECT_FALSE(SameBits(layer.weight_grads(), dw_before));
 }
 
 TEST(ActivationTest, TanhBackward) {
-  TanhLayer tanh_layer;
-  auto y = tanh_layer.Forward({0.5, -0.5});
-  EXPECT_NEAR(y[0], std::tanh(0.5), 1e-12);
-  auto g = tanh_layer.Backward({1.0, 1.0});
+  Matrix h = Batch({{0.5, -0.5}});
+  TanhForward(&h);
+  EXPECT_NEAR(h.at(0, 0), std::tanh(0.5), 1e-12);
+  Matrix g(1, 2, 1.0);
+  TanhBackward(h, &g);
   double expected = 1.0 - std::tanh(0.5) * std::tanh(0.5);
-  EXPECT_NEAR(g[0], expected, 1e-12);
-  EXPECT_NEAR(g[1], expected, 1e-12);
+  EXPECT_NEAR(g.at(0, 0), expected, 1e-12);
+  EXPECT_NEAR(g.at(0, 1), expected, 1e-12);
 }
 
 TEST(ActivationTest, ReluMask) {
-  ReluLayer relu;
-  auto y = relu.Forward({1.5, -2.0, 0.0});
-  EXPECT_EQ(y[0], 1.5);
-  EXPECT_EQ(y[1], 0.0);
-  auto g = relu.Backward({1.0, 1.0, 1.0});
-  EXPECT_EQ(g[0], 1.0);
-  EXPECT_EQ(g[1], 0.0);
-  EXPECT_EQ(g[2], 0.0);  // x == 0 counts as inactive
+  Matrix h = Batch({{1.5, -2.0, 0.0}});
+  ReluForward(&h);
+  EXPECT_EQ(h.at(0, 0), 1.5);
+  EXPECT_EQ(h.at(0, 1), 0.0);
+  Matrix g(1, 3, 1.0);
+  ReluBackward(h, &g);
+  EXPECT_EQ(g.at(0, 0), 1.0);
+  EXPECT_EQ(g.at(0, 1), 0.0);
+  EXPECT_EQ(g.at(0, 2), 0.0);  // x == 0 counts as inactive
 }
 
 TEST(AdamTest, MinimizesQuadratic) {
@@ -109,11 +145,29 @@ TEST(AdamTest, MinimizesQuadratic) {
 TEST(MlpTest, ForwardShapes) {
   Rng rng(5);
   Mlp mlp(4, {8, 8}, 3, OutputActivation::kTanh, &rng);
-  auto y = mlp.Forward({0.1, 0.2, 0.3, 0.4});
+  std::vector<double> y = mlp.Forward(std::vector<double>{0.1, 0.2, 0.3, 0.4});
   ASSERT_EQ(y.size(), 3u);
   for (double v : y) {
     EXPECT_GE(v, -1.0);
     EXPECT_LE(v, 1.0);
+  }
+  Matrix batch = mlp.Forward(Matrix(5, 4, 0.25));
+  EXPECT_EQ(batch.rows(), 5);
+  EXPECT_EQ(batch.cols(), 3);
+}
+
+TEST(MlpTest, OneSampleForwardIsAOneRowBatch) {
+  Rng rng(8);
+  Mlp mlp(3, {6, 6}, 2, OutputActivation::kTanh, &rng);
+  Matrix batch = Batch({{0.1, -0.4, 0.8}, {0.7, 0.2, -0.9}});
+  Matrix ys = mlp.Forward(batch);
+  MlpTape tape;
+  Matrix taped = mlp.Forward(batch, &tape);
+  EXPECT_TRUE(SameBits(ys, taped));
+  for (int i = 0; i < 2; ++i) {
+    std::vector<double> row(batch.Row(i), batch.Row(i) + 3);
+    std::vector<double> y = mlp.Forward(row);
+    EXPECT_EQ(std::memcmp(y.data(), ys.Row(i), sizeof(double) * 2), 0);
   }
 }
 
@@ -122,18 +176,22 @@ TEST(MlpTest, LearnsSimpleRegression) {
   Mlp mlp(1, {16}, 1, OutputActivation::kLinear, &rng);
   AdamOptimizer adam(0.01);
   mlp.RegisterParams(&adam);
-  // Fit y = 2x - 1 on [0,1].
-  for (int epoch = 0; epoch < 2000; ++epoch) {
-    double x = rng.Uniform();
-    double target = 2.0 * x - 1.0;
+  // Fit y = 2x - 1 on [0,1], one minibatch of four per step.
+  MlpTape tape;
+  for (int epoch = 0; epoch < 500; ++epoch) {
+    Matrix x(4, 1), grad(4, 1);
+    for (double& v : x.data()) v = rng.Uniform();
+    const Matrix& y = mlp.Forward(x, &tape);
+    for (int i = 0; i < 4; ++i) {
+      grad.at(i, 0) = 2.0 * (y.at(i, 0) - (2.0 * x.at(i, 0) - 1.0)) / 4.0;
+    }
     mlp.ZeroGrad();
-    double y = mlp.Forward({x})[0];
-    mlp.Backward({2.0 * (y - target)});
+    mlp.Backward(tape, std::move(grad), ParamGrads::kAccumulate);
     adam.Step();
   }
-  EXPECT_NEAR(mlp.Forward({0.0})[0], -1.0, 0.15);
-  EXPECT_NEAR(mlp.Forward({0.5})[0], 0.0, 0.15);
-  EXPECT_NEAR(mlp.Forward({1.0})[0], 1.0, 0.15);
+  EXPECT_NEAR(mlp.Forward(std::vector<double>{0.0})[0], -1.0, 0.15);
+  EXPECT_NEAR(mlp.Forward(std::vector<double>{0.5})[0], 0.0, 0.15);
+  EXPECT_NEAR(mlp.Forward(std::vector<double>{1.0})[0], 1.0, 0.15);
 }
 
 TEST(MlpTest, CopyAndSoftUpdate) {
@@ -156,25 +214,67 @@ TEST(MlpTest, CopyAndSoftUpdate) {
   EXPECT_NEAR(c.Forward(x)[0], a.Forward(x)[0], 1e-6);
 }
 
-// Property: end-to-end MLP gradient check against numerical
-// differentiation for several seeds.
+// Property: batched MLP backprop against numerical differentiation for
+// several seeds. The loss is the sum of the outputs over a batch of
+// four samples, so each sample's input gradient is its own.
 class MlpGradCheck : public ::testing::TestWithParam<int> {};
 
-TEST_P(MlpGradCheck, BackpropMatchesNumericalInputGradient) {
+TEST_P(MlpGradCheck, BatchedBackpropMatchesNumericalInputGradient) {
   Rng rng(GetParam());
   Mlp mlp(3, {5}, 1, OutputActivation::kTanh, &rng);
-  std::vector<double> x = {0.2, -0.4, 0.9};
-  mlp.ZeroGrad();
-  mlp.Forward(x);
-  std::vector<double> grad_in = mlp.Backward({1.0});
+  Matrix x(4, 3);
+  for (double& v : x.data()) v = rng.Uniform(-1.0, 1.0);
+  MlpTape tape;
+  mlp.Forward(x, &tape);
+  Matrix grad_in;
+  mlp.Backward(tape, Matrix(4, 1, 1.0), ParamGrads::kAccumulate, &grad_in);
+  ASSERT_EQ(grad_in.rows(), 4);
+  ASSERT_EQ(grad_in.cols(), 3);
   const double eps = 1e-6;
-  for (int i = 0; i < 3; ++i) {
-    std::vector<double> xp = x, xm = x;
-    xp[i] += eps;
-    xm[i] -= eps;
-    double numeric = (mlp.Forward(xp)[0] - mlp.Forward(xm)[0]) / (2 * eps);
-    EXPECT_NEAR(grad_in[i], numeric, 1e-4);
+  for (int i = 0; i < 4; ++i) {
+    for (int c = 0; c < 3; ++c) {
+      std::vector<double> xp(x.Row(i), x.Row(i) + 3), xm = xp;
+      xp[c] += eps;
+      xm[c] -= eps;
+      double numeric = (mlp.Forward(xp)[0] - mlp.Forward(xm)[0]) / (2 * eps);
+      EXPECT_NEAR(grad_in.at(i, c), numeric, 1e-4);
+    }
   }
+}
+
+// Property: one batched Backward accumulates the same parameter
+// gradients, bit for bit, as one-row Backwards run sample by sample.
+// The gradients are compared through an Adam step, which is a fixed
+// function of them.
+TEST_P(MlpGradCheck, BatchedBackwardEqualsSampleAtATimeBitForBit) {
+  Rng init_a(GetParam()), init_b(GetParam());
+  Mlp batched(4, {7, 6}, 3, OutputActivation::kTanh, &init_a);
+  Mlp sequential(4, {7, 6}, 3, OutputActivation::kTanh, &init_b);
+  AdamOptimizer adam_a, adam_b;
+  batched.RegisterParams(&adam_a);
+  sequential.RegisterParams(&adam_b);
+  Rng rng(GetParam() + 100);
+  Matrix x(5, 4), g(5, 3);
+  for (double& v : x.data()) v = rng.Uniform(-1.0, 1.0);
+  for (double& v : g.data()) v = rng.Uniform(-1.0, 1.0);
+
+  MlpTape tape;
+  batched.ZeroGrad();
+  batched.Forward(x, &tape);
+  batched.Backward(tape, g, ParamGrads::kAccumulate);
+  adam_a.Step();
+
+  sequential.ZeroGrad();
+  for (int i = 0; i < 5; ++i) {
+    Matrix xi(1, 4), gi(1, 3);
+    std::memcpy(xi.Row(0), x.Row(i), sizeof(double) * 4);
+    std::memcpy(gi.Row(0), g.Row(i), sizeof(double) * 3);
+    sequential.Forward(xi, &tape);
+    sequential.Backward(tape, gi, ParamGrads::kAccumulate);
+  }
+  adam_b.Step();
+
+  EXPECT_TRUE(SameBits(batched.Forward(x), sequential.Forward(x)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MlpGradCheck, ::testing::Range(1, 7));
