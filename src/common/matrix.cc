@@ -232,7 +232,8 @@ constexpr int kLanes = 8;
 typedef double Lanes __attribute__((vector_size(kLanes * sizeof(double))));
 
 /// Loads `count` <= kLanes doubles from `p` into `v`; the other lanes
-/// keep their value.
+/// keep their value. The whole-vector case is split out so that it
+/// compiles to one vector move rather than a variable-length copy.
 void LoadLanes(const double* p, int count, Lanes* v) {
   if (count == kLanes) {
     std::memcpy(v, p, sizeof(*v));

@@ -17,22 +17,24 @@ Mlp::Mlp(int in_dim, std::vector<int> hidden_dims, int out_dim,
 }
 
 Matrix Mlp::Run(const Matrix& x, MlpTape* tape) const {
-  // Taped, each layer reads its input from the tape and its output is
-  // moved there; untaped, only the latest output is kept.
+  // Taped, each hidden output moves onto the tape and the next layer
+  // reads it there; untaped, only the latest output is kept.
   if (tape != nullptr) tape->activations.assign(1, x);
+  const Matrix* in = &x;
   Matrix h;
-  for (size_t i = 0; i < linears_.size(); ++i) {
-    const Matrix& in =
-        tape != nullptr ? tape->activations.back() : (i == 0 ? x : h);
-    h = linears_[i]->Forward(in);
-    if (i + 1 == linears_.size()) {
-      if (output_activation_ == OutputActivation::kTanh) TanhForward(&h);
+  for (size_t i = 0; i + 1 < linears_.size(); ++i) {
+    h = linears_[i]->Forward(*in);
+    ReluForward(&h);
+    if (tape != nullptr) {
+      tape->activations.push_back(std::move(h));
+      in = &tape->activations.back();
     } else {
-      ReluForward(&h);
-      if (tape != nullptr) tape->activations.push_back(std::move(h));
+      in = &h;
     }
   }
-  return h;
+  Matrix y = linears_.back()->Forward(*in);
+  if (output_activation_ == OutputActivation::kTanh) TanhForward(&y);
+  return y;
 }
 
 Matrix Mlp::Forward(const Matrix& x) const { return Run(x, nullptr); }
