@@ -270,7 +270,8 @@ Matrix PackLanes(const Matrix& m, bool transpose) {
 }
 
 /// Z(i, j) += sum_t A(i, t) B(t, j), the products added in ascending t
-/// onto Z's current value; `b` is B packed by PackLanes. Tiles of four
+/// onto Z's current value; `b` is B with its column count a multiple
+/// of kLanes (at least Z's), as PackLanes makes it. Tiles of four
 /// rows by kLanes columns stay in registers across the t loop, so each
 /// B load serves four rows. A short last row group reuses the final row
 /// of A and discards the extra results.
@@ -307,6 +308,16 @@ void AccumulateProductPacked(const Matrix& a, const Matrix& b, Matrix* z) {
   }
 }
 
+/// Z += A B where B needs no transpose: B is used in place when its
+/// rows are already whole lane groups, else through a padded copy.
+void AccumulateProduct(const Matrix& a, const Matrix& b, Matrix* z) {
+  if (b.cols() % kLanes == 0) {
+    AccumulateProductPacked(a, b, z);
+  } else {
+    AccumulateProductPacked(a, PackLanes(b, /*transpose=*/false), z);
+  }
+}
+
 }  // namespace
 
 Matrix MultiplyTransposedAddBias(const Matrix& x, const Matrix& w,
@@ -322,7 +333,7 @@ Matrix MultiplyTransposedAddBias(const Matrix& x, const Matrix& w,
 
 Matrix Multiply(const Matrix& g, const Matrix& w) {
   Matrix g_in(g.rows(), w.cols());
-  AccumulateProductPacked(g, PackLanes(w, /*transpose=*/false), &g_in);
+  AccumulateProduct(g, w, &g_in);
   return g_in;
 }
 
@@ -332,7 +343,7 @@ void AccumulateTransposedProduct(const Matrix& g, const Matrix& x,
   for (int i = 0; i < g.rows(); ++i) {
     for (int r = 0; r < g.cols(); ++r) gt.at(r, i) = g.at(i, r);
   }
-  AccumulateProductPacked(gt, PackLanes(x, /*transpose=*/false), dw);
+  AccumulateProduct(gt, x, dw);
   for (int i = 0; i < g.rows(); ++i) {
     const double* g_i = g.Row(i);
     for (int r = 0; r < g.cols(); ++r) db[r] += g_i[r];

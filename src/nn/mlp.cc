@@ -16,18 +16,15 @@ Mlp::Mlp(int in_dim, std::vector<int> hidden_dims, int out_dim,
   linears_.push_back(std::make_unique<LinearLayer>(prev, out_dim, rng));
 }
 
-Matrix Mlp::Run(const Matrix& x, MlpTape* tape) const {
-  // Taped, each hidden output moves onto the tape and the next layer
-  // reads it there; untaped, only the latest output is kept.
-  if (tape != nullptr) tape->activations.assign(1, x);
+Matrix Mlp::Run(const Matrix& x, std::vector<Matrix>* hidden) const {
   const Matrix* in = &x;
   Matrix h;
   for (size_t i = 0; i + 1 < linears_.size(); ++i) {
     h = linears_[i]->Forward(*in);
     ReluForward(&h);
-    if (tape != nullptr) {
-      tape->activations.push_back(std::move(h));
-      in = &tape->activations.back();
+    if (hidden != nullptr) {
+      hidden->push_back(std::move(h));
+      in = &hidden->back();
     } else {
       in = &h;
     }
@@ -39,10 +36,15 @@ Matrix Mlp::Run(const Matrix& x, MlpTape* tape) const {
 
 Matrix Mlp::Forward(const Matrix& x) const { return Run(x, nullptr); }
 
-const Matrix& Mlp::Forward(const Matrix& x, MlpTape* tape) const {
-  Matrix y = Run(x, tape);
-  tape->activations.push_back(std::move(y));
-  return tape->activations.back();
+const Matrix& Mlp::Forward(Matrix x, MlpTape* tape) const {
+  std::vector<Matrix>& acts = tape->activations;
+  acts.clear();
+  // Reserved up front so that acts[0], read by Run, never moves.
+  acts.reserve(linears_.size() + 1);
+  acts.push_back(std::move(x));
+  Matrix y = Run(acts[0], &acts);
+  acts.push_back(std::move(y));
+  return acts.back();
 }
 
 std::vector<double> Mlp::Forward(const std::vector<double>& x) const {

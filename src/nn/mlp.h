@@ -31,9 +31,11 @@ class Mlp {
   /// Runs a batch (one sample per row) and returns the outputs.
   Matrix Forward(const Matrix& x) const;
 
-  /// As above, recording the activations Backward needs into `tape`;
-  /// returns the outputs held by the tape.
-  const Matrix& Forward(const Matrix& x, MlpTape* tape) const;
+  /// As above, recording the activations Backward needs into `tape`.
+  /// The tape keeps `x` as its first entry, so move the batch in when
+  /// the caller no longer needs it. Returns the outputs held by the
+  /// tape.
+  const Matrix& Forward(Matrix x, MlpTape* tape) const;
 
   /// One sample: a one-row batch.
   std::vector<double> Forward(const std::vector<double>& x) const;
@@ -60,8 +62,9 @@ class Mlp {
   int out_dim() const { return out_dim_; }
 
  private:
-  /// Shared by both Forward overloads; `tape` may be null.
-  Matrix Run(const Matrix& x, MlpTape* tape) const;
+  /// Runs every layer on `x` and returns the outputs; appends each
+  /// hidden layer's output to `hidden` when it is non-null.
+  Matrix Run(const Matrix& x, std::vector<Matrix>* hidden) const;
 
   int in_dim_;
   int out_dim_;

@@ -137,59 +137,65 @@ void ConcatRow(const std::vector<double>& left, const double* right,
 
 }  // namespace
 
-void DdpgOptimizer::TrainStep() {
-  if (replay_.size() < options_.batch_size / 2 || replay_.size() < 4) return;
-  std::vector<const Transition*> batch =
-      replay_.Sample(options_.batch_size, &rng_);
+void DdpgOptimizer::UpdateCritic(const std::vector<const Transition*>& batch) {
+  // Minimize (Q(s,a) - y)^2, y = r + gamma Q'(s', mu'(s')).
   int n = static_cast<int>(batch.size());
   int state_dim = options_.state_dim;
   int action_dim = space_.num_dims();
-  double inv_n = 1.0 / static_cast<double>(n);
-
-  // Each network runs once over the whole minibatch, one sample per
-  // row. The kernels' summation-order contract (src/common/matrix.h)
-  // makes every update bit-for-bit independent of the batching.
-  Matrix states(n, state_dim);
   Matrix next_states(n, state_dim);
+  for (int i = 0; i < n; ++i) {
+    std::copy(batch[i]->next_state.begin(), batch[i]->next_state.end(),
+              next_states.Row(i));
+  }
+  Matrix next_actions = actor_target_->Forward(next_states);
   Matrix critic_in(n, state_dim + action_dim);
   for (int i = 0; i < n; ++i) {
-    const Transition& tr = *batch[i];
-    std::copy(tr.state.begin(), tr.state.end(), states.Row(i));
-    std::copy(tr.next_state.begin(), tr.next_state.end(),
-              next_states.Row(i));
-    ConcatRow(tr.state, tr.action.data(), action_dim, i, &critic_in);
-  }
-
-  // --- Critic update: minimize (Q(s,a) - y)^2, y = r + gamma Q'(s',mu'(s')).
-  Matrix next_actions = actor_target_->Forward(next_states);
-  Matrix next_in(n, state_dim + action_dim);
-  for (int i = 0; i < n; ++i) {
     ConcatRow(batch[i]->next_state, next_actions.Row(i), action_dim, i,
-              &next_in);
+              &critic_in);
   }
-  Matrix q_next = critic_target_->Forward(next_in);
-  MlpTape critic_tape;
-  const Matrix& q = critic_->Forward(critic_in, &critic_tape);
+  Matrix q_next = critic_target_->Forward(critic_in);
+  for (int i = 0; i < n; ++i) {
+    ConcatRow(batch[i]->state, batch[i]->action.data(), action_dim, i,
+              &critic_in);
+  }
+  MlpTape tape;
+  const Matrix& q = critic_->Forward(std::move(critic_in), &tape);
+  double inv_n = 1.0 / static_cast<double>(n);
   Matrix grad_q(n, 1);
   for (int i = 0; i < n; ++i) {
     double y = batch[i]->reward + options_.gamma * q_next.at(i, 0);
     grad_q.at(i, 0) = 2.0 * (q.at(i, 0) - y) * inv_n;
   }
   critic_->ZeroGrad();
-  critic_->Backward(critic_tape, std::move(grad_q), ParamGrads::kAccumulate);
+  critic_->Backward(tape, std::move(grad_q), ParamGrads::kAccumulate);
   critic_adam_.Step();
+}
 
-  // --- Actor update: maximize Q(s, mu(s)) => gradient ascent through
-  // the (frozen) critic into the actor.
+void DdpgOptimizer::UpdateActor(const std::vector<const Transition*>& batch) {
+  // Maximize Q(s, mu(s)): gradient ascent through the frozen critic
+  // into the actor. The critic's own gradients are not touched.
+  int n = static_cast<int>(batch.size());
+  int state_dim = options_.state_dim;
+  int action_dim = space_.num_dims();
+  Matrix states(n, state_dim);
+  for (int i = 0; i < n; ++i) {
+    std::copy(batch[i]->state.begin(), batch[i]->state.end(),
+              states.Row(i));
+  }
   MlpTape actor_tape;
-  const Matrix& actions = actor_->Forward(states, &actor_tape);
+  const Matrix& actions = actor_->Forward(std::move(states), &actor_tape);
+  Matrix critic_in(n, state_dim + action_dim);
   for (int i = 0; i < n; ++i) {
     ConcatRow(batch[i]->state, actions.Row(i), action_dim, i, &critic_in);
   }
-  critic_->Forward(critic_in, &critic_tape);
   Matrix grad_input;
-  critic_->Backward(critic_tape, Matrix(n, 1, -inv_n), ParamGrads::kSkip,
-                    &grad_input);
+  {
+    MlpTape critic_tape;
+    critic_->Forward(std::move(critic_in), &critic_tape);
+    double inv_n = 1.0 / static_cast<double>(n);
+    critic_->Backward(critic_tape, Matrix(n, 1, -inv_n), ParamGrads::kSkip,
+                      &grad_input);
+  }
   Matrix grad_action(n, action_dim);
   for (int i = 0; i < n; ++i) {
     std::copy_n(grad_input.Row(i) + state_dim, action_dim,
@@ -199,6 +205,18 @@ void DdpgOptimizer::TrainStep() {
   actor_->Backward(actor_tape, std::move(grad_action),
                    ParamGrads::kAccumulate);
   actor_adam_.Step();
+}
+
+void DdpgOptimizer::TrainStep() {
+  if (replay_.size() < options_.batch_size / 2 || replay_.size() < 4) return;
+  std::vector<const Transition*> batch =
+      replay_.Sample(options_.batch_size, &rng_);
+  // Each network runs once over the whole minibatch, one sample per
+  // row. The kernels' summation-order contract (src/common/matrix.h)
+  // makes every update bit-for-bit independent of the batching. Each
+  // phase frees its batch matrices before the next one starts.
+  UpdateCritic(batch);
+  UpdateActor(batch);
 
   // --- Soft target updates.
   actor_target_->SoftUpdateFrom(*actor_, options_.tau);

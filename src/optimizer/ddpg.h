@@ -53,7 +53,11 @@ class DdpgOptimizer : public Optimizer {
  private:
   std::vector<double> ActionToPoint(const std::vector<double>& action) const;
   std::vector<double> PointToAction(const std::vector<double>& point) const;
+  /// One minibatch update: the critic, then the actor, then the soft
+  /// target updates.
   void TrainStep();
+  void UpdateCritic(const std::vector<const Transition*>& batch);
+  void UpdateActor(const std::vector<const Transition*>& batch);
 
   DdpgOptions options_;
   Rng rng_;
