@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "src/common/serde.h"
@@ -887,38 +887,35 @@ SessionResult TuningSession::Snapshot() const {
 }
 
 std::string TuningSession::Save() const {
-  std::ostringstream out;
-  out << kCheckpointHeader << " v" << kCheckpointVersion << '\n';
-  out << "maximize " << (maximize_ ? 1 : 0) << '\n';
-  out << "options " << options_.num_iterations << ' ' << options_.batch_size
-      << ' ' << EncodeDoubleBits(options_.crash_penalty_divisor) << ' '
-      << EncodeDoubleBits(options_.timeout_penalty_divisor) << ' '
-      << EncodeDoubleBits(options_.lost_penalty_divisor) << ' '
-      << options_.pending_deadline_ms << ' '
-      << (options_.early_stopping.has_value() ? 1 : 0);
+  TokenWriter out;
+  out.Word(kCheckpointHeader)
+      .Word("v" + std::to_string(kCheckpointVersion))
+      .EndLine();
+  out.Word("maximize").Bool(maximize_).EndLine();
+  out.Word("options").Int(options_.num_iterations).Int(options_.batch_size);
+  out.Bits(options_.crash_penalty_divisor)
+      .Bits(options_.timeout_penalty_divisor)
+      .Bits(options_.lost_penalty_divisor)
+      .Int(options_.pending_deadline_ms)
+      .Bool(options_.early_stopping.has_value());
   if (options_.early_stopping.has_value()) {
-    out << ' ' << EncodeDoubleBits(options_.early_stopping->min_improvement_pct())
-        << ' ' << options_.early_stopping->patience();
+    out.Bits(options_.early_stopping->min_improvement_pct())
+        .Int(options_.early_stopping->patience());
   }
   // v3: trailing racing block. Everything a v3 file adds over v2 for a
   // non-racing session is the version number and this one token.
-  out << " racing " << (options_.racing.has_value() ? 1 : 0);
+  out.Word("racing").Bool(options_.racing.has_value());
   if (options_.racing.has_value()) {
-    out << ' ' << options_.racing->cohort << ' ' << options_.racing->rungs
-        << ' ' << EncodeDoubleBits(options_.racing->min_fidelity) << ' '
-        << EncodeDoubleBits(options_.racing->eta) << ' '
-        << EncodeDoubleBits(options_.racing->ci_z);
+    out.Int(options_.racing->cohort).Int(options_.racing->rungs);
+    out.Bits(options_.racing->min_fidelity)
+        .Bits(options_.racing->eta)
+        .Bits(options_.racing->ci_z);
   }
-  out << '\n';
-  out << "state " << iterations_run_ << ' '
-      << EncodeDoubleBits(optimizer_seconds_) << '\n';
-  out << "baseline " << (baseline_done_ ? 1 : 0);
-  if (baseline_done_) {
-    out << ' ' << EncodeDoubleBits(default_performance_) << ' '
-        << baseline_metrics_.size();
-    for (double v : baseline_metrics_) out << ' ' << EncodeDoubleBits(v);
-  }
-  out << '\n';
+  out.EndLine();
+  out.Word("state").Int(iterations_run_).Bits(optimizer_seconds_).EndLine();
+  out.Word("baseline").Bool(baseline_done_);
+  if (baseline_done_) out.Bits(default_performance_).Doubles(baseline_metrics_);
+  out.EndLine();
   // Evaluation-side state: the attached objective's (and its batch
   // clones') serializable state, so the resumed session continues with
   // the identical noise stream. Detached and stateless objectives
@@ -926,38 +923,37 @@ std::string TuningSession::Save() const {
   auto write_state = [&out](const char* tag, const ObjectiveFunction* fn) {
     std::optional<std::string> state =
         fn == nullptr ? std::nullopt : fn->SaveState();
-    out << tag << ' ' << (state.has_value() ? 1 : 0);
-    if (state.has_value()) out << ' ' << state->size() << ' '
-                               << EncodeBytes(*state);
-    out << '\n';
+    out.Word(tag).Bool(state.has_value());
+    if (state.has_value()) out.Count(state->size()).Hex(*state);
+    out.EndLine();
   };
   write_state("objective", objective_);
   if (!clone_pool_built_) {
-    out << "clones -1\n";
+    out.Word("clones").Int(-1).EndLine();
   } else {
-    out << "clones " << clone_pool_.size() << '\n';
+    out.Word("clones").Count(clone_pool_.size()).EndLine();
     for (const auto& clone : clone_pool_) write_state("clone", clone.get());
   }
-  out << "rounds " << committed_rounds_.size() << '\n';
+  out.Word("rounds").Count(committed_rounds_.size()).EndLine();
   int record_index = 0;
   for (const Round& round : committed_rounds_) {
-    char tag = 'B';
+    const char* tag = "B";
     switch (round.kind) {
       case Round::Kind::kBaseline:
-        tag = 'D';
+        tag = "D";
         break;
       case Round::Kind::kSingle:
-        tag = 'S';
+        tag = "S";
         break;
       case Round::Kind::kBatch:
-        tag = 'B';
+        tag = "B";
         break;
       case Round::Kind::kRung:
-        tag = 'R';
+        tag = "R";
         break;
     }
-    out << "round " << tag << ' ' << round.requested << ' '
-        << round.ids.size() << '\n';
+    out.Word("round").Word(tag).Int(round.requested).Count(round.ids.size());
+    out.EndLine();
     if (round.kind == Round::Kind::kBaseline) continue;
     if (round.kind == Round::Kind::kRung) {
       // Rung measurements are not knowledge-base records (only the
@@ -965,12 +961,9 @@ std::string TuningSession::Save() const {
       // re-tells them through the race machinery, which re-derives
       // eliminations, the champion, and its KB record.
       for (const TrialResult& result : round.rung_results) {
-        out << "rung " << static_cast<int>(result.outcome) << ' '
-            << EncodeDoubleBits(result.value) << ' '
-            << EncodeDoubleBits(result.fidelity) << ' '
-            << result.metrics.size();
-        for (double v : result.metrics) out << ' ' << EncodeDoubleBits(v);
-        out << '\n';
+        out.Word("rung").Int(static_cast<int>(result.outcome));
+        out.Bits(result.value).Bits(result.fidelity).Doubles(result.metrics);
+        out.EndLine();
       }
       // A final rung committed the champion's KB record; keep the
       // told-line cursor in sync for the rounds that follow.
@@ -981,21 +974,18 @@ std::string TuningSession::Save() const {
       // Expired slots committed without an observation or a KB
       // record; replay must re-drop them, not re-tell them.
       if (expired_ids_.count(round.ids[i]) > 0) {
-        out << "expired\n";
+        out.Word("expired").EndLine();
         continue;
       }
       const IterationRecord& record = kb_.record(record_index++);
-      out << "told " << static_cast<int>(record.outcome) << ' '
-          << EncodeDoubleBits(record.measured) << ' '
-          << record.metrics.size();
-      for (double v : record.metrics) out << ' ' << EncodeDoubleBits(v);
-      out << '\n';
+      out.Word("told").Int(static_cast<int>(record.outcome));
+      out.Bits(record.measured).Doubles(record.metrics).EndLine();
     }
   }
-  out << "history " << optimizer_->history().size() << '\n';
-  out << SerializeHistory(optimizer_->history());
-  out << "end\n";
-  return out.str();
+  out.Word("history").Count(optimizer_->history().size()).EndLine();
+  out.Raw(SerializeHistory(optimizer_->history()));
+  out.Word("end").EndLine();
+  return out.Take();
 }
 
 Status TuningSession::Restore(const std::string& checkpoint) {
@@ -1006,12 +996,12 @@ Status TuningSession::Restore(const std::string& checkpoint) {
         "Restore: requires a freshly constructed session");
   }
 
-  std::istringstream in(checkpoint);
-  std::string token;
-
-  // Header + version.
-  std::string header, version;
-  if (!(in >> header >> version) || header != kCheckpointHeader) {
+  // Parse errors stick in `in` (see TokenReader); the checks below
+  // return them at the same points the grammar's semantic checks run.
+  TokenReader in(checkpoint, "Restore");
+  const std::string_view header = in.Word("checkpoint header");
+  const std::string_view version = in.Word("checkpoint version");
+  if (!in.ok() || header != kCheckpointHeader) {
     return Status::InvalidArgument("Restore: not a llamatune checkpoint");
   }
   int file_version = 0;
@@ -1020,96 +1010,43 @@ Status TuningSession::Restore(const std::string& checkpoint) {
   }
   if (file_version == 0) {
     return Status::InvalidArgument("Restore: unsupported checkpoint version " +
-                                   version);
+                                   std::string(version));
   }
 
-  auto expect = [&in](const char* tag) -> Status {
-    std::string got;
-    if (!(in >> got) || got != tag) {
-      return Status::InvalidArgument(
-          std::string("Restore: expected '") + tag + "' section, got '" +
-          got + "'");
-    }
-    return Status::OK();
-  };
-  auto read_int = [&in](const char* what) -> Result<int64_t> {
-    std::string tok;
-    if (!(in >> tok)) {
-      return Status::InvalidArgument(std::string("Restore: truncated ") +
-                                     what);
-    }
-    return ParseInt64(tok);
-  };
-  auto read_double = [&in](const char* what) -> Result<double> {
-    std::string tok;
-    if (!(in >> tok)) {
-      return Status::InvalidArgument(std::string("Restore: truncated ") +
-                                     what);
-    }
-    return DecodeDoubleBits(tok);
-  };
-
-  LT_RETURN_NOT_OK(expect("maximize"));
-  Result<int64_t> saved_maximize = read_int("maximize");
-  if (!saved_maximize.ok()) return saved_maximize.status();
-  if ((*saved_maximize != 0) != maximize_) {
+  const bool saved_maximize = in.Expect("maximize").Bool();
+  LT_RETURN_NOT_OK(in.status());
+  if (saved_maximize != maximize_) {
     return Status::FailedPrecondition(
         "Restore: checkpoint maximize convention does not match this "
         "session's objective");
   }
 
-  LT_RETURN_NOT_OK(expect("options"));
-  Result<int64_t> saved_iters = read_int("num_iterations");
-  if (!saved_iters.ok()) return saved_iters.status();
-  Result<int64_t> saved_batch = read_int("batch_size");
-  if (!saved_batch.ok()) return saved_batch.status();
-  Result<double> saved_divisor = read_double("crash_penalty_divisor");
-  if (!saved_divisor.ok()) return saved_divisor.status();
-  Result<double> saved_timeout_divisor = read_double("timeout_penalty_divisor");
-  if (!saved_timeout_divisor.ok()) return saved_timeout_divisor.status();
-  Result<double> saved_lost_divisor = read_double("lost_penalty_divisor");
-  if (!saved_lost_divisor.ok()) return saved_lost_divisor.status();
-  Result<int64_t> saved_deadline = read_int("pending_deadline_ms");
-  if (!saved_deadline.ok()) return saved_deadline.status();
-  Result<int64_t> saved_has_es = read_int("early stopping flag");
-  if (!saved_has_es.ok()) return saved_has_es.status();
+  const int64_t saved_iters = in.Expect("options").Int();
+  const int64_t saved_batch = in.Int();
+  const double saved_divisor = in.Bits();
+  const double saved_timeout_divisor = in.Bits();
+  const double saved_lost_divisor = in.Bits();
+  const int64_t saved_deadline = in.Int();
+  const bool saved_has_es = in.Bool();
   double saved_es_pct = 0.0;
   int64_t saved_es_patience = 0;
-  if (*saved_has_es != 0) {
-    Result<double> pct = read_double("early stopping pct");
-    if (!pct.ok()) return pct.status();
-    saved_es_pct = *pct;
-    Result<int64_t> patience = read_int("early stopping patience");
-    if (!patience.ok()) return patience.status();
-    saved_es_patience = *patience;
+  if (saved_has_es) {
+    saved_es_pct = in.Bits();
+    saved_es_patience = in.Int();
   }
   // v3 racing block; a v2 file predates racing, so it can only restore
   // into a non-racing session.
   bool saved_racing = false;
   RacingOptions saved_racing_opts;
-  if (file_version >= 3) {
-    LT_RETURN_NOT_OK(expect("racing"));
-    Result<int64_t> racing_flag = read_int("racing flag");
-    if (!racing_flag.ok()) return racing_flag.status();
-    saved_racing = *racing_flag != 0;
-    if (saved_racing) {
-      Result<int64_t> cohort = read_int("racing cohort");
-      if (!cohort.ok()) return cohort.status();
-      saved_racing_opts.cohort = static_cast<int>(*cohort);
-      Result<int64_t> rungs = read_int("racing rungs");
-      if (!rungs.ok()) return rungs.status();
-      saved_racing_opts.rungs = static_cast<int>(*rungs);
-      Result<double> min_fid = read_double("racing min_fidelity");
-      if (!min_fid.ok()) return min_fid.status();
-      saved_racing_opts.min_fidelity = *min_fid;
-      Result<double> eta = read_double("racing eta");
-      if (!eta.ok()) return eta.status();
-      saved_racing_opts.eta = *eta;
-      Result<double> ci_z = read_double("racing ci_z");
-      if (!ci_z.ok()) return ci_z.status();
-      saved_racing_opts.ci_z = *ci_z;
-    }
+  if (file_version >= 3) saved_racing = in.Expect("racing").Bool();
+  if (saved_racing) {
+    saved_racing_opts.cohort = in.Int32();
+    saved_racing_opts.rungs = in.Int32();
+    saved_racing_opts.min_fidelity = in.Bits();
+    saved_racing_opts.eta = in.Bits();
+    saved_racing_opts.ci_z = in.Bits();
   }
+  LT_RETURN_NOT_OK(in.status());
   if (saved_racing != options_.racing.has_value() ||
       (saved_racing &&
        (saved_racing_opts.cohort != options_.racing->cohort ||
@@ -1125,16 +1062,16 @@ Status TuningSession::Restore(const std::string& checkpoint) {
         "session with the saved racing settings, or without racing for a "
         "pre-racing checkpoint)");
   }
-  if (*saved_iters != options_.num_iterations ||
-      *saved_batch != options_.batch_size ||
-      EncodeDoubleBits(*saved_divisor) !=
+  if (saved_iters != options_.num_iterations ||
+      saved_batch != options_.batch_size ||
+      EncodeDoubleBits(saved_divisor) !=
           EncodeDoubleBits(options_.crash_penalty_divisor) ||
-      EncodeDoubleBits(*saved_timeout_divisor) !=
+      EncodeDoubleBits(saved_timeout_divisor) !=
           EncodeDoubleBits(options_.timeout_penalty_divisor) ||
-      EncodeDoubleBits(*saved_lost_divisor) !=
+      EncodeDoubleBits(saved_lost_divisor) !=
           EncodeDoubleBits(options_.lost_penalty_divisor) ||
-      *saved_deadline != options_.pending_deadline_ms ||
-      (*saved_has_es != 0) != options_.early_stopping.has_value() ||
+      saved_deadline != options_.pending_deadline_ms ||
+      saved_has_es != options_.early_stopping.has_value() ||
       (options_.early_stopping.has_value() &&
        (EncodeDoubleBits(saved_es_pct) !=
             EncodeDoubleBits(options_.early_stopping->min_improvement_pct()) ||
@@ -1145,73 +1082,33 @@ Status TuningSession::Restore(const std::string& checkpoint) {
         "settings)");
   }
 
-  LT_RETURN_NOT_OK(expect("state"));
-  Result<int64_t> saved_run = read_int("iterations_run");
-  if (!saved_run.ok()) return saved_run.status();
-  Result<double> saved_seconds = read_double("optimizer_seconds");
-  if (!saved_seconds.ok()) return saved_seconds.status();
-
-  LT_RETURN_NOT_OK(expect("baseline"));
-  Result<int64_t> baseline_done = read_int("baseline flag");
-  if (!baseline_done.ok()) return baseline_done.status();
+  const int64_t saved_run = in.Expect("state").Int();
+  const double saved_seconds = in.Bits();
+  const bool baseline_done = in.Expect("baseline").Bool();
   double saved_default = 0.0;
   std::vector<double> saved_baseline_metrics;
-  if (*baseline_done != 0) {
-    Result<double> def = read_double("default_performance");
-    if (!def.ok()) return def.status();
-    saved_default = *def;
-    Result<int64_t> n_metrics = read_int("baseline metrics count");
-    if (!n_metrics.ok()) return n_metrics.status();
-    for (int64_t i = 0; i < *n_metrics; ++i) {
-      Result<double> v = read_double("baseline metric");
-      if (!v.ok()) return v.status();
-      saved_baseline_metrics.push_back(*v);
-    }
+  if (baseline_done) {
+    saved_default = in.Bits();
+    saved_baseline_metrics = in.Doubles();
   }
 
-  auto read_state =
-      [&in, &expect, &read_int](
-          const char* tag,
-          std::optional<std::string>* state) -> Status {
-    LT_RETURN_NOT_OK(expect(tag));
-    Result<int64_t> has = read_int("state flag");
-    if (!has.ok()) return has.status();
-    state->reset();
-    if (*has == 0) return Status::OK();
-    Result<int64_t> size = read_int("state size");
-    if (!size.ok()) return size.status();
-    std::string payload;
-    if (*size > 0) {
-      std::string hex;
-      if (!(in >> hex)) {
-        return Status::InvalidArgument("Restore: truncated state payload");
-      }
-      Result<std::string> bytes = DecodeBytes(hex);
-      if (!bytes.ok()) return bytes.status();
-      payload = std::move(bytes).ValueOrDie();
+  auto read_state = [&in](const char* tag) -> std::optional<std::string> {
+    if (!in.Expect(tag).Bool()) return std::nullopt;
+    const int64_t size = in.Int();
+    std::string payload = size > 0 ? in.Hex() : std::string();
+    if (in.ok() && static_cast<int64_t>(payload.size()) != size) {
+      in.Fail("state payload size mismatch");
     }
-    if (static_cast<int64_t>(payload.size()) != *size) {
-      return Status::InvalidArgument("Restore: state payload size mismatch");
-    }
-    *state = std::move(payload);
-    return Status::OK();
+    return payload;
   };
 
-  std::optional<std::string> saved_objective_state;
-  LT_RETURN_NOT_OK(read_state("objective", &saved_objective_state));
-  LT_RETURN_NOT_OK(expect("clones"));
-  Result<int64_t> saved_clone_count = read_int("clone count");
-  if (!saved_clone_count.ok()) return saved_clone_count.status();
+  const std::optional<std::string> saved_objective_state =
+      read_state("objective");
+  const int64_t saved_clone_count = in.Expect("clones").Int();
   std::vector<std::optional<std::string>> saved_clone_states;
-  for (int64_t i = 0; i < *saved_clone_count; ++i) {
-    std::optional<std::string> clone_state;
-    LT_RETURN_NOT_OK(read_state("clone", &clone_state));
-    saved_clone_states.push_back(std::move(clone_state));
+  for (int64_t i = 0; i < saved_clone_count && in.ok(); ++i) {
+    saved_clone_states.push_back(read_state("clone"));
   }
-
-  LT_RETURN_NOT_OK(expect("rounds"));
-  Result<int64_t> n_rounds = read_int("round count");
-  if (!n_rounds.ok()) return n_rounds.status();
 
   struct SavedTold {
     bool expired = false;
@@ -1227,100 +1124,61 @@ Status TuningSession::Restore(const std::string& checkpoint) {
     std::vector<SavedTold> told;
   };
   std::vector<SavedRound> saved_rounds;
-  // Clamped reserve: the count is untrusted checkpoint text; bad
-  // values fail through the per-round parse errors below.
-  saved_rounds.reserve(static_cast<size_t>(
-      std::min<int64_t>(std::max<int64_t>(*n_rounds, 0), 4096)));
-  for (int64_t r = 0; r < *n_rounds; ++r) {
-    LT_RETURN_NOT_OK(expect("round"));
-    std::string tag;
-    if (!(in >> tag) || tag.size() != 1 ||
-        (tag[0] != 'D' && tag[0] != 'S' && tag[0] != 'B' &&
-         tag[0] != 'R')) {
+  const int64_t n_rounds = in.Expect("rounds").Count(&saved_rounds);
+  for (int64_t r = 0; r < n_rounds && in.ok(); ++r) {
+    const std::string_view tag = in.Expect("round").Word("round kind");
+    SavedRound round;
+    round.requested = in.Int32();
+    round.size = in.Int32();
+    LT_RETURN_NOT_OK(in.status());
+    if (tag.size() != 1 || std::string_view("DSBR").find(tag[0]) ==
+                               std::string_view::npos) {
       return Status::InvalidArgument("Restore: bad round kind tag");
     }
     if (tag[0] == 'R' && file_version < 3) {
       return Status::InvalidArgument(
           "Restore: rung round in a pre-v3 checkpoint");
     }
-    SavedRound round;
     round.tag = tag[0];
-    Result<int64_t> requested = read_int("round requested");
-    if (!requested.ok()) return requested.status();
-    round.requested = static_cast<int>(*requested);
-    Result<int64_t> size = read_int("round size");
-    if (!size.ok()) return size.status();
-    round.size = static_cast<int>(*size);
-    if (round.tag != 'D') {
-      for (int i = 0; i < round.size; ++i) {
-        // Rung slots carry their measurement inline (they are not KB
-        // records) and are never expired.
-        const bool is_rung = round.tag == 'R';
-        std::string slot_tag;
-        if (!(in >> slot_tag) ||
-            (is_rung ? slot_tag != "rung"
-                     : (slot_tag != "told" && slot_tag != "expired"))) {
-          return Status::InvalidArgument(
-              std::string("Restore: expected ") +
-              (is_rung ? "'rung'" : "'told' or 'expired'") +
-              " slot, got '" + slot_tag + "'");
-        }
-        SavedTold told;
-        if (slot_tag == "expired") {
-          told.expired = true;
-          round.told.push_back(std::move(told));
-          continue;
-        }
-        Result<int64_t> outcome = read_int("told outcome code");
-        if (!outcome.ok()) return outcome.status();
-        if (*outcome < 0 ||
-            *outcome > static_cast<int64_t>(TrialOutcome::kLost)) {
-          return Status::InvalidArgument(
-              "Restore: unknown told outcome code " +
-              std::to_string(*outcome));
-        }
-        told.outcome = static_cast<TrialOutcome>(*outcome);
-        Result<double> value = read_double("told value");
-        if (!value.ok()) return value.status();
-        told.value = *value;
-        if (is_rung) {
-          Result<double> fid = read_double("rung fidelity");
-          if (!fid.ok()) return fid.status();
-          told.fidelity = *fid;
-        }
-        Result<int64_t> n_metrics = read_int("told metrics count");
-        if (!n_metrics.ok()) return n_metrics.status();
-        for (int64_t m = 0; m < *n_metrics; ++m) {
-          Result<double> v = read_double("told metric");
-          if (!v.ok()) return v.status();
-          told.metrics.push_back(*v);
-        }
-        round.told.push_back(std::move(told));
+    // Rung slots carry their measurement inline (they are not KB
+    // records) and are never expired.
+    const bool is_rung = round.tag == 'R';
+    for (int i = 0; round.tag != 'D' && i < round.size && in.ok(); ++i) {
+      const std::string_view slot = in.Word("round slot");
+      SavedTold told;
+      told.expired = !is_rung && slot == "expired";
+      if (in.ok() && !told.expired && slot != (is_rung ? "rung" : "told")) {
+        return Status::InvalidArgument(
+            std::string("Restore: expected ") +
+            (is_rung ? "'rung'" : "'told' or 'expired'") + " slot, got '" +
+            std::string(slot) + "'");
       }
+      if (!told.expired) {
+        told.outcome = static_cast<TrialOutcome>(
+            in.IntIn(0, static_cast<int64_t>(TrialOutcome::kLost)));
+        told.value = in.Bits();
+        if (is_rung) told.fidelity = in.Bits();
+        told.metrics = in.Doubles();
+      }
+      round.told.push_back(std::move(told));
     }
     saved_rounds.push_back(std::move(round));
   }
 
-  LT_RETURN_NOT_OK(expect("history"));
-  Result<int64_t> n_history = read_int("history count");
-  if (!n_history.ok()) return n_history.status();
-  std::string rest;
-  std::getline(in, rest);  // consume end of the "history" line
-  std::ostringstream history_text;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line == "end") break;
-    history_text << line << '\n';
-  }
+  // The history block runs from the line after "history N" to a line
+  // that is exactly "end".
+  const int n_history = in.Expect("history").Int32();
+  LT_RETURN_NOT_OK(in.status());
+  in.SkipLine();
   Result<std::vector<Observation>> saved_history =
-      ParseHistory(history_text.str(), static_cast<int>(*n_history));
+      ParseHistory(std::string(in.LinesUntil("end")), n_history);
   if (!saved_history.ok()) return saved_history.status();
 
   // --- Replay. The optimizer re-derives its model state and RNG
   // position from the same deterministic call sequence the original
   // session issued; the history block then pins the result.
   if (options_.early_stopping.has_value()) options_.early_stopping->Reset();
-  if (*baseline_done == 0) return Status::OK();  // nothing committed yet
+  if (!baseline_done) return Status::OK();  // nothing committed yet
 
   replaying_ = true;
   Status replay_status = Status::OK();
@@ -1407,11 +1265,11 @@ Status TuningSession::Restore(const std::string& checkpoint) {
   replaying_ = false;
   if (!replay_status.ok()) return replay_status;
 
-  if (iterations_run_ != static_cast<int>(*saved_run)) {
+  if (iterations_run_ != saved_run) {
     return Status::Internal(
         "Restore: replay reached iteration " +
         std::to_string(iterations_run_) + ", checkpoint recorded " +
-        std::to_string(*saved_run));
+        std::to_string(saved_run));
   }
   if (!HistoryBitsEqual(optimizer_->history(), *saved_history)) {
     return Status::Internal(
@@ -1433,7 +1291,7 @@ Status TuningSession::Restore(const std::string& checkpoint) {
             restored.ToString());
       }
     }
-    if (*saved_clone_count >= 0) {
+    if (saved_clone_count >= 0) {
       clone_pool_.clear();
       clone_pool_built_ = true;
       for (size_t i = 0; i < saved_clone_states.size(); ++i) {
@@ -1458,7 +1316,7 @@ Status TuningSession::Restore(const std::string& checkpoint) {
 
   // Replay recomputed suggestion/observation timing; report the
   // original session's accounting instead.
-  optimizer_seconds_ = *saved_seconds;
+  optimizer_seconds_ = saved_seconds;
   return Status::OK();
 }
 

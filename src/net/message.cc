@@ -1,9 +1,5 @@
 #include "src/net/message.h"
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <sstream>
 #include <utility>
 
 #include "src/common/serde.h"
@@ -85,858 +81,492 @@ Status StatusFromWireError(WireError code, std::string message) {
 
 namespace {
 
-/// Strings travel as one 'x'-prefixed hex token so that empty strings
-/// and strings with whitespace survive the token stream.
-void PutStr(std::ostringstream* out, const char* tag, const std::string& s) {
-  *out << ' ' << tag << " x" << EncodeBytes(s);
+constexpr char kWire[] = "wire";
+
+void EncodeKnob(TokenWriter* out, const KnobSpec& knob) {
+  out->Word("knob").Word("name").Str(knob.name);
+  out->Word("type").Int(static_cast<int>(knob.type));
+  out->Word("min").Bits(knob.min_value).Word("max").Bits(knob.max_value);
+  out->Word("log").Bool(knob.log_scale);
+  out->Word("default").Bits(knob.default_value);
+  out->Word("cats").Count(knob.categories.size());
+  for (const std::string& category : knob.categories) out->Str(category);
+  out->Word("specials").Doubles(knob.special_values);
+  out->Word("unit").Str(knob.unit);
 }
 
-Result<std::string> GetStr(std::istringstream* in, const char* tag) {
-  std::string got_tag, token;
-  if (!(*in >> got_tag >> token) || got_tag != tag) {
-    return Status::InvalidArgument(std::string("wire: expected '") + tag +
-                                   "' string field");
-  }
-  if (token.empty() || token[0] != 'x') {
-    return Status::InvalidArgument(std::string("wire: field '") + tag +
-                                   "' is not an x-prefixed hex token");
-  }
-  return DecodeBytes(token.substr(1));
-}
-
-void PutInt(std::ostringstream* out, const char* tag, int64_t value) {
-  *out << ' ' << tag << ' ' << value;
-}
-
-Result<int64_t> GetInt(std::istringstream* in, const char* tag) {
-  std::string got_tag, token;
-  if (!(*in >> got_tag >> token) || got_tag != tag) {
-    return Status::InvalidArgument(std::string("wire: expected '") + tag +
-                                   "' integer field");
-  }
-  return ParseInt64(token);
-}
-
-void PutU64(std::ostringstream* out, const char* tag, uint64_t value) {
-  *out << ' ' << tag << ' ' << value;
-}
-
-Result<uint64_t> GetU64(std::istringstream* in, const char* tag) {
-  std::string got_tag, token;
-  if (!(*in >> got_tag >> token) || got_tag != tag) {
-    return Status::InvalidArgument(std::string("wire: expected '") + tag +
-                                   "' u64 field");
-  }
-  if (token.empty()) return Status::InvalidArgument("wire: empty u64 token");
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-  if (errno != 0 || end != token.c_str() + token.size() || token[0] == '-') {
-    return Status::InvalidArgument("wire: bad u64 token: " + token);
-  }
-  return static_cast<uint64_t>(value);
-}
-
-void PutBits(std::ostringstream* out, const char* tag, double value) {
-  *out << ' ' << tag << ' ' << EncodeDoubleBits(value);
-}
-
-Result<double> GetBits(std::istringstream* in, const char* tag) {
-  std::string got_tag, token;
-  if (!(*in >> got_tag >> token) || got_tag != tag) {
-    return Status::InvalidArgument(std::string("wire: expected '") + tag +
-                                   "' double field");
-  }
-  return DecodeDoubleBits(token);
-}
-
-void PutBool(std::ostringstream* out, const char* tag, bool value) {
-  PutInt(out, tag, value ? 1 : 0);
-}
-
-Result<bool> GetBool(std::istringstream* in, const char* tag) {
-  Result<int64_t> value = GetInt(in, tag);
-  if (!value.ok()) return value.status();
-  return *value != 0;
-}
-
-/// Clamp untrusted element counts before reserve() (idiom of
-/// src/core/trial.cc): a corrupt count must fail through the
-/// truncated-stream path, not throw bad_alloc.
-size_t ClampReserve(int64_t count) {
-  return static_cast<size_t>(
-      std::min<int64_t>(std::max<int64_t>(count, 0), 4096));
-}
-
-Result<std::string> DecodeHeaderName(std::istringstream* in,
-                                     const char* header) {
-  std::string tag;
-  if (!(*in >> tag) || tag != header) {
-    return Status::InvalidArgument(std::string("wire: expected '") + header +
-                                   "' payload");
-  }
-  return GetStr(in, "name");
-}
-
-void EncodeKnob(std::ostringstream* out, const KnobSpec& knob) {
-  *out << " knob";
-  PutStr(out, "name", knob.name);
-  PutInt(out, "type", static_cast<int>(knob.type));
-  PutBits(out, "min", knob.min_value);
-  PutBits(out, "max", knob.max_value);
-  PutBool(out, "log", knob.log_scale);
-  PutBits(out, "default", knob.default_value);
-  PutInt(out, "cats", static_cast<int64_t>(knob.categories.size()));
-  for (const std::string& category : knob.categories) {
-    *out << " x" << EncodeBytes(category);
-  }
-  PutInt(out, "specials", static_cast<int64_t>(knob.special_values.size()));
-  for (double value : knob.special_values) {
-    *out << ' ' << EncodeDoubleBits(value);
-  }
-  PutStr(out, "unit", knob.unit);
-}
-
-Result<KnobSpec> DecodeKnob(std::istringstream* in) {
-  std::string tag;
-  if (!(*in >> tag) || tag != "knob") {
-    return Status::InvalidArgument("wire: expected 'knob' entry");
-  }
+KnobSpec DecodeKnob(TokenReader* in) {
   KnobSpec knob;
-  Result<std::string> name = GetStr(in, "name");
-  if (!name.ok()) return name.status();
-  knob.name = *name;
-  Result<int64_t> type = GetInt(in, "type");
-  if (!type.ok()) return type.status();
-  if (*type < 0 || *type > static_cast<int>(KnobType::kCategorical)) {
-    return Status::InvalidArgument("wire: bad knob type " +
-                                   std::to_string(*type));
+  knob.name = in->Expect("knob").Expect("name").Str();
+  knob.type = static_cast<KnobType>(in->Expect("type").IntIn(
+      0, static_cast<int64_t>(KnobType::kCategorical)));
+  knob.min_value = in->Expect("min").Bits();
+  knob.max_value = in->Expect("max").Bits();
+  knob.log_scale = in->Expect("log").Bool();
+  knob.default_value = in->Expect("default").Bits();
+  for (int64_t i = 0, n = in->Expect("cats").Count(&knob.categories);
+       i < n && in->ok(); ++i) {
+    knob.categories.push_back(in->Str());
   }
-  knob.type = static_cast<KnobType>(*type);
-  Result<double> min_value = GetBits(in, "min");
-  if (!min_value.ok()) return min_value.status();
-  knob.min_value = *min_value;
-  Result<double> max_value = GetBits(in, "max");
-  if (!max_value.ok()) return max_value.status();
-  knob.max_value = *max_value;
-  Result<bool> log_scale = GetBool(in, "log");
-  if (!log_scale.ok()) return log_scale.status();
-  knob.log_scale = *log_scale;
-  Result<double> default_value = GetBits(in, "default");
-  if (!default_value.ok()) return default_value.status();
-  knob.default_value = *default_value;
-
-  Result<int64_t> num_categories = GetInt(in, "cats");
-  if (!num_categories.ok()) return num_categories.status();
-  knob.categories.reserve(ClampReserve(*num_categories));
-  for (int64_t i = 0; i < *num_categories; ++i) {
-    std::string token;
-    if (!(*in >> token) || token.empty() || token[0] != 'x') {
-      return Status::InvalidArgument("wire: truncated knob categories");
-    }
-    Result<std::string> category = DecodeBytes(token.substr(1));
-    if (!category.ok()) return category.status();
-    knob.categories.push_back(*category);
-  }
-
-  Result<int64_t> num_specials = GetInt(in, "specials");
-  if (!num_specials.ok()) return num_specials.status();
-  knob.special_values.reserve(ClampReserve(*num_specials));
-  for (int64_t i = 0; i < *num_specials; ++i) {
-    std::string token;
-    if (!(*in >> token)) {
-      return Status::InvalidArgument("wire: truncated knob special values");
-    }
-    Result<double> value = DecodeDoubleBits(token);
-    if (!value.ok()) return value.status();
-    knob.special_values.push_back(*value);
-  }
-
-  Result<std::string> unit = GetStr(in, "unit");
-  if (!unit.ok()) return unit.status();
-  knob.unit = *unit;
+  knob.special_values = in->Expect("specials").Doubles();
+  knob.unit = in->Expect("unit").Str();
   return knob;
 }
 
-void EncodeSpecInto(std::ostringstream* out, const WireSessionSpec& spec) {
-  *out << " spec 3";
-  PutStr(out, "workload", spec.workload);
-  PutInt(out, "knobs", static_cast<int64_t>(spec.space_knobs.size()));
+void EncodeSpecInto(TokenWriter* out, const WireSessionSpec& spec) {
+  out->Word("spec").Int(3).Word("workload").Str(spec.workload);
+  out->Word("knobs").Count(spec.space_knobs.size());
   for (const KnobSpec& knob : spec.space_knobs) EncodeKnob(out, knob);
-  PutBool(out, "maximize", spec.maximize);
-  PutStr(out, "optimizer", spec.optimizer_key);
-  PutStr(out, "adapter", spec.adapter_key);
-  PutU64(out, "seed", spec.seed);
-  PutInt(out, "iterations", spec.num_iterations);
-  PutInt(out, "batch", spec.batch_size);
-  PutInt(out, "threads", spec.num_threads);
-  PutInt(out, "deadline", spec.pending_deadline_ms);
-  PutBool(out, "racing", spec.racing);
+  out->Word("maximize").Bool(spec.maximize);
+  out->Word("optimizer").Str(spec.optimizer_key);
+  out->Word("adapter").Str(spec.adapter_key);
+  out->Word("seed").U64(spec.seed);
+  out->Word("iterations").Int(spec.num_iterations);
+  out->Word("batch").Int(spec.batch_size);
+  out->Word("threads").Int(spec.num_threads);
+  out->Word("deadline").Int(spec.pending_deadline_ms);
+  out->Word("racing").Bool(spec.racing);
   if (spec.racing) {
-    PutInt(out, "cohort", spec.racing_cohort);
-    PutInt(out, "rungs", spec.racing_rungs);
-    PutBits(out, "minfid", spec.racing_min_fidelity);
-    PutBits(out, "eta", spec.racing_eta);
-    PutBits(out, "ciz", spec.racing_ci_z);
+    out->Word("cohort").Int(spec.racing_cohort);
+    out->Word("rungs").Int(spec.racing_rungs);
+    out->Word("minfid").Bits(spec.racing_min_fidelity);
+    out->Word("eta").Bits(spec.racing_eta);
+    out->Word("ciz").Bits(spec.racing_ci_z);
   }
 }
 
-Result<WireSessionSpec> DecodeSpecFrom(std::istringstream* in) {
+WireSessionSpec DecodeSpecFrom(TokenReader* in) {
   // v2 appended the pending-deadline field, v3 the racing block; v1/v2
   // payloads (older peers, pre-upgrade autosave files) still decode,
   // with the deadline at 0 and racing off.
-  std::string tag, version;
-  if (!(*in >> tag >> version) || tag != "spec" ||
-      (version != "1" && version != "2" && version != "3")) {
-    return Status::InvalidArgument("wire: expected 'spec 1|2|3' section");
+  const std::string_view version = in->Expect("spec").Word("spec version");
+  if (in->ok() && version != "1" && version != "2" && version != "3") {
+    in->Fail("expected 'spec 1|2|3' section");
   }
   WireSessionSpec spec;
-  Result<std::string> workload = GetStr(in, "workload");
-  if (!workload.ok()) return workload.status();
-  spec.workload = *workload;
-  Result<int64_t> num_knobs = GetInt(in, "knobs");
-  if (!num_knobs.ok()) return num_knobs.status();
-  spec.space_knobs.reserve(ClampReserve(*num_knobs));
-  for (int64_t i = 0; i < *num_knobs; ++i) {
-    Result<KnobSpec> knob = DecodeKnob(in);
-    if (!knob.ok()) return knob.status();
-    spec.space_knobs.push_back(std::move(knob).ValueOrDie());
+  spec.workload = in->Expect("workload").Str();
+  for (int64_t i = 0, n = in->Expect("knobs").Count(&spec.space_knobs);
+       i < n && in->ok(); ++i) {
+    spec.space_knobs.push_back(DecodeKnob(in));
   }
-  if (spec.workload.empty() == spec.space_knobs.empty()) {
-    return Status::InvalidArgument(
-        "wire: spec must carry exactly one source (workload name or knob "
-        "space)");
+  if (in->ok() && spec.workload.empty() == spec.space_knobs.empty()) {
+    in->Fail(
+        "spec must carry exactly one source (workload name or knob space)");
   }
-  Result<bool> maximize = GetBool(in, "maximize");
-  if (!maximize.ok()) return maximize.status();
-  spec.maximize = *maximize;
-  Result<std::string> optimizer = GetStr(in, "optimizer");
-  if (!optimizer.ok()) return optimizer.status();
-  spec.optimizer_key = *optimizer;
-  Result<std::string> adapter = GetStr(in, "adapter");
-  if (!adapter.ok()) return adapter.status();
-  spec.adapter_key = *adapter;
-  Result<uint64_t> seed = GetU64(in, "seed");
-  if (!seed.ok()) return seed.status();
-  spec.seed = *seed;
-  Result<int64_t> iterations = GetInt(in, "iterations");
-  if (!iterations.ok()) return iterations.status();
-  spec.num_iterations = static_cast<int>(*iterations);
-  Result<int64_t> batch = GetInt(in, "batch");
-  if (!batch.ok()) return batch.status();
-  spec.batch_size = static_cast<int>(*batch);
-  Result<int64_t> threads = GetInt(in, "threads");
-  if (!threads.ok()) return threads.status();
-  spec.num_threads = static_cast<int>(*threads);
-  if (version == "2" || version == "3") {
-    Result<int64_t> deadline = GetInt(in, "deadline");
-    if (!deadline.ok()) return deadline.status();
-    spec.pending_deadline_ms = *deadline;
-  }
-  if (version == "3") {
-    Result<bool> racing = GetBool(in, "racing");
-    if (!racing.ok()) return racing.status();
-    spec.racing = *racing;
-    if (spec.racing) {
-      Result<int64_t> cohort = GetInt(in, "cohort");
-      if (!cohort.ok()) return cohort.status();
-      spec.racing_cohort = static_cast<int>(*cohort);
-      Result<int64_t> rungs = GetInt(in, "rungs");
-      if (!rungs.ok()) return rungs.status();
-      spec.racing_rungs = static_cast<int>(*rungs);
-      Result<double> minfid = GetBits(in, "minfid");
-      if (!minfid.ok()) return minfid.status();
-      spec.racing_min_fidelity = *minfid;
-      Result<double> eta = GetBits(in, "eta");
-      if (!eta.ok()) return eta.status();
-      spec.racing_eta = *eta;
-      Result<double> ciz = GetBits(in, "ciz");
-      if (!ciz.ok()) return ciz.status();
-      spec.racing_ci_z = *ciz;
-    }
+  spec.maximize = in->Expect("maximize").Bool();
+  spec.optimizer_key = in->Expect("optimizer").Str();
+  spec.adapter_key = in->Expect("adapter").Str();
+  spec.seed = in->Expect("seed").U64();
+  spec.num_iterations = in->Expect("iterations").Int32();
+  spec.batch_size = in->Expect("batch").Int32();
+  spec.num_threads = in->Expect("threads").Int32();
+  if (version != "1") spec.pending_deadline_ms = in->Expect("deadline").Int();
+  if (version == "3") spec.racing = in->Expect("racing").Bool();
+  if (spec.racing) {
+    spec.racing_cohort = in->Expect("cohort").Int32();
+    spec.racing_rungs = in->Expect("rungs").Int32();
+    spec.racing_min_fidelity = in->Expect("minfid").Bits();
+    spec.racing_eta = in->Expect("eta").Bits();
+    spec.racing_ci_z = in->Expect("ciz").Bits();
   }
   return spec;
 }
 
-void EncodeStatusInto(std::ostringstream* out, const WireSessionStatus& s) {
-  *out << " status";
-  PutStr(out, "name", s.status.name);
-  PutStr(out, "optimizer", s.status.optimizer_key);
-  PutStr(out, "adapter", s.status.adapter_key);
-  PutBool(out, "external", s.status.external);
-  PutInt(out, "iters", s.status.iterations_run);
-  PutInt(out, "total", s.status.num_iterations);
-  PutInt(out, "pending", s.status.pending_trials);
-  PutBool(out, "finished", s.status.finished);
-  PutBits(out, "defperf", s.status.default_performance);
-  PutBits(out, "bestperf", s.status.best_performance);
-  PutInt(out, "created", s.status.created_unix_ms);
-  PutInt(out, "active", s.status.last_activity_unix_ms);
-  PutBool(out, "driving", s.driving);
+void EncodeStatusInto(TokenWriter* out, const WireSessionStatus& s) {
+  out->Word("status").Word("name").Str(s.status.name);
+  out->Word("optimizer").Str(s.status.optimizer_key);
+  out->Word("adapter").Str(s.status.adapter_key);
+  out->Word("external").Bool(s.status.external);
+  out->Word("iters").Int(s.status.iterations_run);
+  out->Word("total").Int(s.status.num_iterations);
+  out->Word("pending").Int(s.status.pending_trials);
+  out->Word("finished").Bool(s.status.finished);
+  out->Word("defperf").Bits(s.status.default_performance);
+  out->Word("bestperf").Bits(s.status.best_performance);
+  out->Word("created").Int(s.status.created_unix_ms);
+  out->Word("active").Int(s.status.last_activity_unix_ms);
+  out->Word("driving").Bool(s.driving);
 }
 
-Result<WireSessionStatus> DecodeStatusFrom(std::istringstream* in) {
-  std::string tag;
-  if (!(*in >> tag) || tag != "status") {
-    return Status::InvalidArgument("wire: expected 'status' section");
-  }
+WireSessionStatus DecodeStatusFrom(TokenReader* in) {
   WireSessionStatus out;
-  Result<std::string> name = GetStr(in, "name");
-  if (!name.ok()) return name.status();
-  out.status.name = *name;
-  Result<std::string> optimizer = GetStr(in, "optimizer");
-  if (!optimizer.ok()) return optimizer.status();
-  out.status.optimizer_key = *optimizer;
-  Result<std::string> adapter = GetStr(in, "adapter");
-  if (!adapter.ok()) return adapter.status();
-  out.status.adapter_key = *adapter;
-  Result<bool> external = GetBool(in, "external");
-  if (!external.ok()) return external.status();
-  out.status.external = *external;
-  Result<int64_t> iters = GetInt(in, "iters");
-  if (!iters.ok()) return iters.status();
-  out.status.iterations_run = static_cast<int>(*iters);
-  Result<int64_t> total = GetInt(in, "total");
-  if (!total.ok()) return total.status();
-  out.status.num_iterations = static_cast<int>(*total);
-  Result<int64_t> pending = GetInt(in, "pending");
-  if (!pending.ok()) return pending.status();
-  out.status.pending_trials = static_cast<int>(*pending);
-  Result<bool> finished = GetBool(in, "finished");
-  if (!finished.ok()) return finished.status();
-  out.status.finished = *finished;
-  Result<double> defperf = GetBits(in, "defperf");
-  if (!defperf.ok()) return defperf.status();
-  out.status.default_performance = *defperf;
-  Result<double> bestperf = GetBits(in, "bestperf");
-  if (!bestperf.ok()) return bestperf.status();
-  out.status.best_performance = *bestperf;
-  Result<int64_t> created = GetInt(in, "created");
-  if (!created.ok()) return created.status();
-  out.status.created_unix_ms = *created;
-  Result<int64_t> active = GetInt(in, "active");
-  if (!active.ok()) return active.status();
-  out.status.last_activity_unix_ms = *active;
-  Result<bool> driving = GetBool(in, "driving");
-  if (!driving.ok()) return driving.status();
-  out.driving = *driving;
+  out.status.name = in->Expect("status").Expect("name").Str();
+  out.status.optimizer_key = in->Expect("optimizer").Str();
+  out.status.adapter_key = in->Expect("adapter").Str();
+  out.status.external = in->Expect("external").Bool();
+  out.status.iterations_run = in->Expect("iters").Int32();
+  out.status.num_iterations = in->Expect("total").Int32();
+  out.status.pending_trials = in->Expect("pending").Int32();
+  out.status.finished = in->Expect("finished").Bool();
+  out.status.default_performance = in->Expect("defperf").Bits();
+  out.status.best_performance = in->Expect("bestperf").Bits();
+  out.status.created_unix_ms = in->Expect("created").Int();
+  out.status.last_activity_unix_ms = in->Expect("active").Int();
+  out.driving = in->Expect("driving").Bool();
   return out;
+}
+
+/// Nested trials and results travel as one x-hex token each.
+void EncodeTrials(TokenWriter* out, const std::vector<Trial>& trials) {
+  out->Word("n").Count(trials.size());
+  for (const Trial& trial : trials) out->Str(SerializeTrial(trial));
+}
+
+std::vector<Trial> DecodeTrials(TokenReader* in) {
+  std::vector<Trial> trials;
+  for (int64_t i = 0, n = in->Expect("n").Count(&trials); i < n && in->ok();
+       ++i) {
+    Result<Trial> trial = ParseTrial(in->Str());
+    if (in->ok() && !trial.ok()) in->Fail(trial.status().message());
+    if (trial.ok()) trials.push_back(std::move(trial).ValueOrDie());
+  }
+  return trials;
+}
+
+ServerLifecycle DecodeLifecycle(TokenReader* in) {
+  return static_cast<ServerLifecycle>(in->Expect("lifecycle").IntIn(
+      0, static_cast<int64_t>(ServerLifecycle::kStopped)));
 }
 
 }  // namespace
 
 std::string EncodeHello(const std::string& tenant) {
-  std::ostringstream out;
-  out << "hello";
-  PutStr(&out, "tenant", tenant);
-  return out.str();
+  return TokenWriter().Word("hello").Word("tenant").Str(tenant).Take();
 }
 
 Result<std::string> DecodeHello(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "hello") {
-    return Status::InvalidArgument("wire: expected 'hello' payload");
-  }
-  return GetStr(&in, "tenant");
+  TokenReader in(payload, kWire);
+  std::string tenant = in.Expect("hello").Expect("tenant").Str();
+  return in.Finish(std::move(tenant));
 }
 
 std::string EncodeSessionSpec(const WireSessionSpec& spec) {
-  std::ostringstream out;
-  out << "specdoc";
-  EncodeSpecInto(&out, spec);
-  return out.str();
+  TokenWriter out;
+  EncodeSpecInto(&out.Word("specdoc"), spec);
+  return out.Take();
 }
 
 Result<WireSessionSpec> DecodeSessionSpec(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "specdoc") {
-    return Status::InvalidArgument("wire: expected 'specdoc' payload");
-  }
-  return DecodeSpecFrom(&in);
+  TokenReader in(payload, kWire);
+  WireSessionSpec spec = DecodeSpecFrom(&in.Expect("specdoc"));
+  return in.Finish(std::move(spec));
 }
 
 std::string EncodeCreateSession(const std::string& name,
                                 const WireSessionSpec& spec) {
-  std::ostringstream out;
-  out << "create";
-  PutStr(&out, "name", name);
-  EncodeSpecInto(&out, spec);
-  return out.str();
+  TokenWriter out;
+  EncodeSpecInto(&out.Word("create").Word("name").Str(name), spec);
+  return out.Take();
 }
 
 Status DecodeCreateSession(const std::string& payload, std::string* name,
                            WireSessionSpec* spec) {
-  std::istringstream in(payload);
-  Result<std::string> got_name = DecodeHeaderName(&in, "create");
-  if (!got_name.ok()) return got_name.status();
-  Result<WireSessionSpec> got_spec = DecodeSpecFrom(&in);
-  if (!got_spec.ok()) return got_spec.status();
-  *name = *got_name;
-  *spec = std::move(got_spec).ValueOrDie();
+  TokenReader in(payload, kWire);
+  std::string got_name = in.Expect("create").Expect("name").Str();
+  WireSessionSpec got_spec = DecodeSpecFrom(&in);
+  LT_RETURN_NOT_OK(in.status());
+  *name = std::move(got_name);
+  *spec = std::move(got_spec);
   return Status::OK();
 }
 
 std::string EncodeResume(const std::string& name, const WireSessionSpec& spec,
                          const std::string& checkpoint) {
-  std::ostringstream out;
-  out << "resume";
-  PutStr(&out, "name", name);
-  PutStr(&out, "checkpoint", checkpoint);
-  EncodeSpecInto(&out, spec);
-  return out.str();
+  TokenWriter out;
+  out.Word("resume").Word("name").Str(name);
+  EncodeSpecInto(&out.Word("checkpoint").Str(checkpoint), spec);
+  return out.Take();
 }
 
 Status DecodeResume(const std::string& payload, std::string* name,
                     WireSessionSpec* spec, std::string* checkpoint) {
-  std::istringstream in(payload);
-  Result<std::string> got_name = DecodeHeaderName(&in, "resume");
-  if (!got_name.ok()) return got_name.status();
-  Result<std::string> got_checkpoint = GetStr(&in, "checkpoint");
-  if (!got_checkpoint.ok()) return got_checkpoint.status();
-  Result<WireSessionSpec> got_spec = DecodeSpecFrom(&in);
-  if (!got_spec.ok()) return got_spec.status();
-  *name = *got_name;
-  *checkpoint = std::move(got_checkpoint).ValueOrDie();
-  *spec = std::move(got_spec).ValueOrDie();
+  TokenReader in(payload, kWire);
+  std::string got_name = in.Expect("resume").Expect("name").Str();
+  std::string got_checkpoint = in.Expect("checkpoint").Str();
+  WireSessionSpec got_spec = DecodeSpecFrom(&in);
+  LT_RETURN_NOT_OK(in.status());
+  *name = std::move(got_name);
+  *checkpoint = std::move(got_checkpoint);
+  *spec = std::move(got_spec);
   return Status::OK();
 }
 
 std::string EncodeNameOnly(const std::string& name) {
-  std::ostringstream out;
-  out << "session";
-  PutStr(&out, "name", name);
-  return out.str();
+  return TokenWriter().Word("session").Word("name").Str(name).Take();
 }
 
 Result<std::string> DecodeNameOnly(const std::string& payload) {
-  std::istringstream in(payload);
-  return DecodeHeaderName(&in, "session");
+  TokenReader in(payload, kWire);
+  std::string name = in.Expect("session").Expect("name").Str();
+  return in.Finish(std::move(name));
 }
 
 std::string EncodeAskBatch(const std::string& name, int n) {
-  std::ostringstream out;
-  out << "askbatch";
-  PutStr(&out, "name", name);
-  PutInt(&out, "n", n);
-  return out.str();
+  return TokenWriter()
+      .Word("askbatch").Word("name").Str(name).Word("n").Int(n).Take();
 }
 
 Status DecodeAskBatch(const std::string& payload, std::string* name, int* n) {
-  std::istringstream in(payload);
-  Result<std::string> got_name = DecodeHeaderName(&in, "askbatch");
-  if (!got_name.ok()) return got_name.status();
-  Result<int64_t> got_n = GetInt(&in, "n");
-  if (!got_n.ok()) return got_n.status();
-  *name = *got_name;
-  *n = static_cast<int>(*got_n);
+  TokenReader in(payload, kWire);
+  std::string got_name = in.Expect("askbatch").Expect("name").Str();
+  int got_n = in.Expect("n").Int32();
+  LT_RETURN_NOT_OK(in.status());
+  *name = std::move(got_name);
+  *n = got_n;
   return Status::OK();
 }
 
 std::string EncodeTell(const std::string& name, const TrialResult& result) {
-  std::ostringstream out;
-  out << "tell";
-  PutStr(&out, "name", name);
-  PutStr(&out, "result", SerializeTrialResult(result));
-  return out.str();
+  return TokenWriter()
+      .Word("tell").Word("name").Str(name)
+      .Word("result").Str(SerializeTrialResult(result))
+      .Take();
 }
 
 Status DecodeTell(const std::string& payload, std::string* name,
                   TrialResult* result) {
-  std::istringstream in(payload);
-  Result<std::string> got_name = DecodeHeaderName(&in, "tell");
-  if (!got_name.ok()) return got_name.status();
-  Result<std::string> line = GetStr(&in, "result");
-  if (!line.ok()) return line.status();
-  Result<TrialResult> got_result = ParseTrialResult(*line);
-  if (!got_result.ok()) return got_result.status();
-  *name = *got_name;
+  TokenReader in(payload, kWire);
+  std::string got_name = in.Expect("tell").Expect("name").Str();
+  std::string line = in.Expect("result").Str();
+  LT_RETURN_NOT_OK(in.status());
+  Result<TrialResult> got_result = ParseTrialResult(line);
+  LT_RETURN_NOT_OK(got_result.status());
+  *name = std::move(got_name);
   *result = std::move(got_result).ValueOrDie();
   return Status::OK();
 }
 
 std::string EncodeTellBatch(const std::string& name,
                             const std::vector<TrialResult>& results) {
-  std::ostringstream out;
-  out << "tellbatch";
-  PutStr(&out, "name", name);
-  PutInt(&out, "n", static_cast<int64_t>(results.size()));
+  TokenWriter out;
+  out.Word("tellbatch").Word("name").Str(name);
+  out.Word("n").Count(results.size());
   for (const TrialResult& result : results) {
-    out << " x" << EncodeBytes(SerializeTrialResult(result));
+    out.Str(SerializeTrialResult(result));
   }
-  return out.str();
+  return out.Take();
 }
 
 Status DecodeTellBatch(const std::string& payload, std::string* name,
                        std::vector<TrialResult>* results) {
-  std::istringstream in(payload);
-  Result<std::string> got_name = DecodeHeaderName(&in, "tellbatch");
-  if (!got_name.ok()) return got_name.status();
-  Result<int64_t> n = GetInt(&in, "n");
-  if (!n.ok()) return n.status();
-  std::vector<TrialResult> out;
-  out.reserve(ClampReserve(*n));
-  for (int64_t i = 0; i < *n; ++i) {
-    std::string token;
-    if (!(in >> token) || token.empty() || token[0] != 'x') {
-      return Status::InvalidArgument("wire: truncated tellbatch results");
-    }
-    Result<std::string> line = DecodeBytes(token.substr(1));
-    if (!line.ok()) return line.status();
-    Result<TrialResult> result = ParseTrialResult(*line);
-    if (!result.ok()) return result.status();
-    out.push_back(std::move(result).ValueOrDie());
+  TokenReader in(payload, kWire);
+  std::string got_name = in.Expect("tellbatch").Expect("name").Str();
+  std::vector<TrialResult> got;
+  for (int64_t i = 0, n = in.Expect("n").Count(&got); i < n && in.ok(); ++i) {
+    Result<TrialResult> result = ParseTrialResult(in.Str());
+    if (in.ok() && !result.ok()) in.Fail(result.status().message());
+    if (result.ok()) got.push_back(std::move(result).ValueOrDie());
   }
-  *name = *got_name;
-  *results = std::move(out);
+  LT_RETURN_NOT_OK(in.status());
+  *name = std::move(got_name);
+  *results = std::move(got);
   return Status::OK();
 }
 
 std::string EncodeError(WireError code, const std::string& message,
                         int64_t retry_after_ms) {
-  std::ostringstream out;
-  out << "error";
-  PutInt(&out, "code", static_cast<int>(code));
-  PutStr(&out, "message", message);
+  TokenWriter out;
+  out.Word("error").Word("code").Int(static_cast<int>(code));
+  out.Word("message").Str(message);
   // Optional trailing hint: pre-hint decoders stop after 'message' and
   // never see it (the append-only payload evolution rule).
-  if (retry_after_ms > 0) PutInt(&out, "retryms", retry_after_ms);
-  return out.str();
+  if (retry_after_ms > 0) out.Word("retryms").Int(retry_after_ms);
+  return out.Take();
 }
 
 Status DecodeError(const std::string& payload, WireError* code,
                    std::string* message, int64_t* retry_after_ms) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "error") {
-    return Status::InvalidArgument("wire: expected 'error' payload");
-  }
-  Result<int64_t> got_code = GetInt(&in, "code");
-  if (!got_code.ok()) return got_code.status();
-  Result<std::string> got_message = GetStr(&in, "message");
-  if (!got_message.ok()) return got_message.status();
+  TokenReader in(payload, kWire);
+  int64_t got_code = in.Expect("error").Expect("code").Int();
+  std::string got_message = in.Expect("message").Str();
+  LT_RETURN_NOT_OK(in.status());
   if (retry_after_ms != nullptr) {
-    *retry_after_ms = 0;
-    Result<int64_t> hint = GetInt(&in, "retryms");
-    if (hint.ok() && *hint > 0) *retry_after_ms = *hint;
+    // A malformed or absent hint is no hint: read it on a copy so its
+    // failure cannot fail the reply.
+    TokenReader hint = in;
+    int64_t ms = hint.Expect("retryms").Int();
+    *retry_after_ms = hint.ok() && ms > 0 ? ms : 0;
   }
-  *code = static_cast<WireError>(*got_code);
-  *message = *got_message;
+  *code = static_cast<WireError>(got_code);
+  *message = std::move(got_message);
   return Status::OK();
 }
 
 std::string EncodeTrialReply(const Trial& trial) {
-  std::ostringstream out;
-  out << "trialreply";
-  PutStr(&out, "trial", SerializeTrial(trial));
-  return out.str();
+  return TokenWriter()
+      .Word("trialreply").Word("trial").Str(SerializeTrial(trial))
+      .Take();
 }
 
 Result<Trial> DecodeTrialReply(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "trialreply") {
-    return Status::InvalidArgument("wire: expected 'trialreply' payload");
-  }
-  Result<std::string> line = GetStr(&in, "trial");
-  if (!line.ok()) return line.status();
-  return ParseTrial(*line);
+  TokenReader in(payload, kWire);
+  std::string line = in.Expect("trialreply").Expect("trial").Str();
+  LT_RETURN_NOT_OK(in.status());
+  return ParseTrial(line);
 }
 
 std::string EncodeTrialsReply(const std::vector<Trial>& trials) {
-  std::ostringstream out;
-  out << "trialsreply";
-  PutInt(&out, "n", static_cast<int64_t>(trials.size()));
-  for (const Trial& trial : trials) {
-    out << " x" << EncodeBytes(SerializeTrial(trial));
-  }
-  return out.str();
+  TokenWriter out;
+  EncodeTrials(&out.Word("trialsreply"), trials);
+  return out.Take();
 }
 
 Result<std::vector<Trial>> DecodeTrialsReply(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "trialsreply") {
-    return Status::InvalidArgument("wire: expected 'trialsreply' payload");
-  }
-  Result<int64_t> n = GetInt(&in, "n");
-  if (!n.ok()) return n.status();
-  std::vector<Trial> trials;
-  trials.reserve(ClampReserve(*n));
-  for (int64_t i = 0; i < *n; ++i) {
-    std::string token;
-    if (!(in >> token) || token.empty() || token[0] != 'x') {
-      return Status::InvalidArgument("wire: truncated trials reply");
-    }
-    Result<std::string> line = DecodeBytes(token.substr(1));
-    if (!line.ok()) return line.status();
-    Result<Trial> trial = ParseTrial(*line);
-    if (!trial.ok()) return trial.status();
-    trials.push_back(std::move(trial).ValueOrDie());
-  }
-  return trials;
+  TokenReader in(payload, kWire);
+  std::vector<Trial> trials = DecodeTrials(&in.Expect("trialsreply"));
+  return in.Finish(std::move(trials));
 }
 
 std::string EncodeSteppedReply(bool progressed) {
-  std::ostringstream out;
-  out << "stepped";
-  PutBool(&out, "progressed", progressed);
-  return out.str();
+  return TokenWriter().Word("stepped").Word("progressed").Bool(progressed)
+      .Take();
 }
 
 Result<bool> DecodeSteppedReply(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "stepped") {
-    return Status::InvalidArgument("wire: expected 'stepped' payload");
-  }
-  return GetBool(&in, "progressed");
+  TokenReader in(payload, kWire);
+  bool progressed = in.Expect("stepped").Expect("progressed").Bool();
+  return in.Finish(progressed);
 }
 
 std::string EncodeStatusReply(const WireSessionStatus& status) {
-  std::ostringstream out;
-  out << "statusreply";
-  EncodeStatusInto(&out, status);
-  return out.str();
+  TokenWriter out;
+  EncodeStatusInto(&out.Word("statusreply"), status);
+  return out.Take();
 }
 
 Result<WireSessionStatus> DecodeStatusReply(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "statusreply") {
-    return Status::InvalidArgument("wire: expected 'statusreply' payload");
-  }
-  return DecodeStatusFrom(&in);
+  TokenReader in(payload, kWire);
+  WireSessionStatus status = DecodeStatusFrom(&in.Expect("statusreply"));
+  return in.Finish(std::move(status));
 }
 
 std::string EncodeStatusListReply(const std::vector<WireSessionStatus>& list) {
-  std::ostringstream out;
-  out << "statuslist";
-  PutInt(&out, "n", static_cast<int64_t>(list.size()));
-  for (const WireSessionStatus& status : list) {
-    EncodeStatusInto(&out, status);
-  }
-  return out.str();
+  TokenWriter out;
+  out.Word("statuslist").Word("n").Count(list.size());
+  for (const WireSessionStatus& status : list) EncodeStatusInto(&out, status);
+  return out.Take();
 }
 
 Result<std::vector<WireSessionStatus>> DecodeStatusListReply(
     const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "statuslist") {
-    return Status::InvalidArgument("wire: expected 'statuslist' payload");
-  }
-  Result<int64_t> n = GetInt(&in, "n");
-  if (!n.ok()) return n.status();
+  TokenReader in(payload, kWire);
   std::vector<WireSessionStatus> list;
-  list.reserve(ClampReserve(*n));
-  for (int64_t i = 0; i < *n; ++i) {
-    Result<WireSessionStatus> status = DecodeStatusFrom(&in);
-    if (!status.ok()) return status.status();
-    list.push_back(std::move(status).ValueOrDie());
+  for (int64_t i = 0, n = in.Expect("statuslist").Expect("n").Count(&list);
+       i < n && in.ok(); ++i) {
+    list.push_back(DecodeStatusFrom(&in));
   }
-  return list;
+  return in.Finish(std::move(list));
 }
 
 std::string EncodeCheckpointReply(const std::string& checkpoint) {
-  std::ostringstream out;
-  out << "checkpointreply";
-  PutStr(&out, "checkpoint", checkpoint);
-  return out.str();
+  return TokenWriter()
+      .Word("checkpointreply").Word("checkpoint").Str(checkpoint)
+      .Take();
 }
 
 Result<std::string> DecodeCheckpointReply(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "checkpointreply") {
-    return Status::InvalidArgument("wire: expected 'checkpointreply' payload");
-  }
-  return GetStr(&in, "checkpoint");
+  TokenReader in(payload, kWire);
+  std::string checkpoint =
+      in.Expect("checkpointreply").Expect("checkpoint").Str();
+  return in.Finish(std::move(checkpoint));
 }
 
 std::string EncodeClosedReply(const WireCloseResult& result) {
-  std::ostringstream out;
-  out << "closed";
-  PutInt(&out, "iterations", result.iterations_run);
-  PutBits(&out, "best", result.best_performance);
-  PutBits(&out, "default", result.default_performance);
-  return out.str();
+  return TokenWriter()
+      .Word("closed").Word("iterations").Int(result.iterations_run)
+      .Word("best").Bits(result.best_performance)
+      .Word("default").Bits(result.default_performance)
+      .Take();
 }
 
 Result<WireCloseResult> DecodeClosedReply(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "closed") {
-    return Status::InvalidArgument("wire: expected 'closed' payload");
-  }
+  TokenReader in(payload, kWire);
   WireCloseResult result;
-  Result<int64_t> iterations = GetInt(&in, "iterations");
-  if (!iterations.ok()) return iterations.status();
-  result.iterations_run = static_cast<int>(*iterations);
-  Result<double> best = GetBits(&in, "best");
-  if (!best.ok()) return best.status();
-  result.best_performance = *best;
-  Result<double> default_performance = GetBits(&in, "default");
-  if (!default_performance.ok()) return default_performance.status();
-  result.default_performance = *default_performance;
-  return result;
+  result.iterations_run = in.Expect("closed").Expect("iterations").Int32();
+  result.best_performance = in.Expect("best").Bits();
+  result.default_performance = in.Expect("default").Bits();
+  return in.Finish(result);
 }
 
 std::string EncodePendingReply(int64_t next_trial_id,
                                const std::vector<Trial>& trials) {
-  std::ostringstream out;
-  out << "pendingreply";
-  PutInt(&out, "next", next_trial_id);
-  PutInt(&out, "n", static_cast<int64_t>(trials.size()));
-  for (const Trial& trial : trials) {
-    out << " x" << EncodeBytes(SerializeTrial(trial));
-  }
-  return out.str();
+  TokenWriter out;
+  out.Word("pendingreply").Word("next").Int(next_trial_id);
+  EncodeTrials(&out, trials);
+  return out.Take();
 }
 
 Status DecodePendingReply(const std::string& payload, int64_t* next_trial_id,
                           std::vector<Trial>* trials) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "pendingreply") {
-    return Status::InvalidArgument("wire: expected 'pendingreply' payload");
-  }
-  Result<int64_t> next = GetInt(&in, "next");
-  if (!next.ok()) return next.status();
-  Result<int64_t> n = GetInt(&in, "n");
-  if (!n.ok()) return n.status();
-  std::vector<Trial> out;
-  out.reserve(ClampReserve(*n));
-  for (int64_t i = 0; i < *n; ++i) {
-    std::string token;
-    if (!(in >> token) || token.empty() || token[0] != 'x') {
-      return Status::InvalidArgument("wire: truncated pending reply");
-    }
-    Result<std::string> line = DecodeBytes(token.substr(1));
-    if (!line.ok()) return line.status();
-    Result<Trial> trial = ParseTrial(*line);
-    if (!trial.ok()) return trial.status();
-    out.push_back(std::move(trial).ValueOrDie());
-  }
-  *next_trial_id = *next;
-  *trials = std::move(out);
+  TokenReader in(payload, kWire);
+  int64_t next = in.Expect("pendingreply").Expect("next").Int();
+  std::vector<Trial> got = DecodeTrials(&in);
+  LT_RETURN_NOT_OK(in.status());
+  *next_trial_id = next;
+  *trials = std::move(got);
   return Status::OK();
 }
 
-namespace {
-
-Result<ServerLifecycle> GetLifecycle(std::istringstream* in) {
-  Result<int64_t> raw = GetInt(in, "lifecycle");
-  if (!raw.ok()) return raw.status();
-  if (*raw < 0 || *raw > static_cast<int64_t>(ServerLifecycle::kStopped)) {
-    return Status::InvalidArgument("wire: unknown lifecycle state");
-  }
-  return static_cast<ServerLifecycle>(*raw);
-}
-
-}  // namespace
-
 std::string EncodeHealthReply(const WireServerHealth& health) {
-  std::ostringstream out;
-  out << "health";
-  PutInt(&out, "lifecycle", static_cast<int>(health.lifecycle));
-  PutInt(&out, "pending", health.pending_requests);
-  PutInt(&out, "sessions", health.sessions);
-  return out.str();
+  return TokenWriter()
+      .Word("health").Word("lifecycle").Int(static_cast<int>(health.lifecycle))
+      .Word("pending").Int(health.pending_requests)
+      .Word("sessions").Int(health.sessions)
+      .Take();
 }
 
 Result<WireServerHealth> DecodeHealthReply(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "health") {
-    return Status::InvalidArgument("wire: expected 'health' payload");
-  }
+  TokenReader in(payload, kWire);
   WireServerHealth health;
-  Result<ServerLifecycle> lifecycle = GetLifecycle(&in);
-  if (!lifecycle.ok()) return lifecycle.status();
-  health.lifecycle = *lifecycle;
-  Result<int64_t> pending = GetInt(&in, "pending");
-  if (!pending.ok()) return pending.status();
-  health.pending_requests = *pending;
-  Result<int64_t> sessions = GetInt(&in, "sessions");
-  if (!sessions.ok()) return sessions.status();
-  health.sessions = *sessions;
-  return health;
+  health.lifecycle = DecodeLifecycle(&in.Expect("health"));
+  health.pending_requests = in.Expect("pending").Int();
+  health.sessions = in.Expect("sessions").Int();
+  return in.Finish(health);
 }
 
 std::string EncodeStatsReply(const WireServerStats& stats) {
-  std::ostringstream out;
-  out << "stats";
-  PutInt(&out, "lifecycle", static_cast<int>(stats.lifecycle));
-  PutInt(&out, "pending", stats.pending_requests);
-  PutInt(&out, "pendingexp", stats.pending_expensive);
-  PutInt(&out, "sessions", stats.sessions);
-  PutInt(&out, "busy", stats.busy_rejections);
-  PutInt(&out, "shedover", stats.shed_overload);
-  PutInt(&out, "shedddl", stats.shed_deadline);
-  PutInt(&out, "evicted", stats.sessions_evicted);
-  PutInt(&out, "autosaves", stats.autosaves_written);
-  PutInt(&out, "restored", stats.sessions_restored);
-  PutInt(&out, "tenants", static_cast<int64_t>(stats.tenant_sessions.size()));
+  TokenWriter out;
+  out.Word("stats").Word("lifecycle").Int(static_cast<int>(stats.lifecycle));
+  out.Word("pending").Int(stats.pending_requests);
+  out.Word("pendingexp").Int(stats.pending_expensive);
+  out.Word("sessions").Int(stats.sessions);
+  out.Word("busy").Int(stats.busy_rejections);
+  out.Word("shedover").Int(stats.shed_overload);
+  out.Word("shedddl").Int(stats.shed_deadline);
+  out.Word("evicted").Int(stats.sessions_evicted);
+  out.Word("autosaves").Int(stats.autosaves_written);
+  out.Word("restored").Int(stats.sessions_restored);
+  out.Word("tenants").Count(stats.tenant_sessions.size());
   for (const auto& [tenant, count] : stats.tenant_sessions) {
-    out << " x" << EncodeBytes(tenant) << ' ' << count;
+    out.Str(tenant).Int(count);
   }
-  return out.str();
+  return out.Take();
 }
 
 Result<WireServerStats> DecodeStatsReply(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "stats") {
-    return Status::InvalidArgument("wire: expected 'stats' payload");
-  }
+  TokenReader in(payload, kWire);
   WireServerStats stats;
-  Result<ServerLifecycle> lifecycle = GetLifecycle(&in);
-  if (!lifecycle.ok()) return lifecycle.status();
-  stats.lifecycle = *lifecycle;
-  struct Field {
-    const char* tag;
-    int64_t* dst;
-  };
-  const Field fields[] = {
-      {"pending", &stats.pending_requests},
-      {"pendingexp", &stats.pending_expensive},
-      {"sessions", &stats.sessions},
-      {"busy", &stats.busy_rejections},
-      {"shedover", &stats.shed_overload},
-      {"shedddl", &stats.shed_deadline},
-      {"evicted", &stats.sessions_evicted},
-      {"autosaves", &stats.autosaves_written},
-      {"restored", &stats.sessions_restored},
-  };
-  for (const Field& field : fields) {
-    Result<int64_t> value = GetInt(&in, field.tag);
-    if (!value.ok()) return value.status();
-    *field.dst = *value;
+  stats.lifecycle = DecodeLifecycle(&in.Expect("stats"));
+  stats.pending_requests = in.Expect("pending").Int();
+  stats.pending_expensive = in.Expect("pendingexp").Int();
+  stats.sessions = in.Expect("sessions").Int();
+  stats.busy_rejections = in.Expect("busy").Int();
+  stats.shed_overload = in.Expect("shedover").Int();
+  stats.shed_deadline = in.Expect("shedddl").Int();
+  stats.sessions_evicted = in.Expect("evicted").Int();
+  stats.autosaves_written = in.Expect("autosaves").Int();
+  stats.sessions_restored = in.Expect("restored").Int();
+  for (int64_t i = 0, n = in.Expect("tenants").Count(&stats.tenant_sessions);
+       i < n && in.ok(); ++i) {
+    std::string tenant = in.Str();
+    stats.tenant_sessions.emplace_back(std::move(tenant), in.Int());
   }
-  Result<int64_t> tenants = GetInt(&in, "tenants");
-  if (!tenants.ok()) return tenants.status();
-  stats.tenant_sessions.reserve(ClampReserve(*tenants));
-  for (int64_t i = 0; i < *tenants; ++i) {
-    std::string token, count_token;
-    if (!(in >> token >> count_token) || token.empty() || token[0] != 'x') {
-      return Status::InvalidArgument("wire: truncated tenant stats");
-    }
-    Result<std::string> tenant = DecodeBytes(token.substr(1));
-    if (!tenant.ok()) return tenant.status();
-    Result<int64_t> count = ParseInt64(count_token);
-    if (!count.ok()) return count.status();
-    stats.tenant_sessions.emplace_back(*tenant, *count);
-  }
-  return stats;
+  return in.Finish(std::move(stats));
 }
 
 void AppendDeadlineRider(std::string* payload, int64_t deadline_ms) {
   if (deadline_ms <= 0) return;
-  std::ostringstream out;
-  PutInt(&out, "ddl", deadline_ms);
-  *payload += out.str();
+  *payload += " ddl " + std::to_string(deadline_ms);
 }
 
 int64_t DeadlineRiderMs(const std::string& payload) {

@@ -140,13 +140,12 @@ struct WireCloseResult {
 
 /// \name Payload codecs
 ///
-/// Payloads are single-line whitespace-delimited token streams in the
-/// style of the checkpoint format: doubles as bit-pattern hex
-/// (serde.h), strings as 'x'-prefixed hex so empty strings survive
-/// tokenization, nested structures (trials, results, checkpoints) as
-/// one hex token of their own serialized form. Every decoder is total:
-/// any byte sequence returns a Status, never crashes (fuzz-pinned by
-/// tests/net_test.cc).
+/// Payloads are single-line token streams written by TokenWriter and
+/// read by TokenReader (serde.h): doubles as bit-pattern hex, strings
+/// as 'x'-prefixed hex so empty strings survive tokenization, nested
+/// structures (trials, results, checkpoints) as one hex token of their
+/// own serialized form. Every decoder is total: any byte sequence
+/// returns a Status, never crashes (fuzz-pinned by tests/net_test.cc).
 /// @{
 
 std::string EncodeHello(const std::string& tenant);

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -98,14 +99,14 @@ uint64_t Mix64(uint64_t x) {
 /// so files with and without the token both decode). Recovers the
 /// owning tenant; pre-token files yield "".
 std::string TenantFromAutosaveHeader(const std::string& header) {
-  std::istringstream in(header);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (in >> token) tokens.push_back(token);
-  if (tokens.size() < 2 || tokens[tokens.size() - 2] != "tenant") return "";
-  const std::string& value = tokens.back();
-  if (value.empty() || value[0] != 'x') return "";
-  Result<std::string> tenant = DecodeBytes(value.substr(1));
+  TokenReader in(header);
+  std::string_view tag, value;
+  while (!in.AtEnd()) {
+    tag = value;
+    value = in.Word();
+  }
+  if (tag != "tenant" || value.empty() || value[0] != 'x') return "";
+  Result<std::string> tenant = DecodeBytes(std::string(value.substr(1)));
   return tenant.ok() ? *tenant : "";
 }
 
@@ -799,7 +800,7 @@ Result<Trial> TuningServer::DoAsk(const std::string& name) {
   MutexLock lock(meta->op_mu);
   Result<Trial> trial = service_.Ask(name);
   if (trial.ok()) {
-    meta->wal.Append("ask1 " + std::to_string(trial->id)).ok();
+    meta->wal.Append(TokenWriter().Word("ask1").Int(trial->id).Take()).ok();
   }
   return trial;
 }
@@ -816,8 +817,9 @@ Result<std::vector<Trial>> TuningServer::DoAskBatch(const std::string& name,
     // Record the *request* (n), not the count handed out: replay must
     // re-issue the identical call to draw the identical batch.
     meta->wal
-        .Append("askb " + std::to_string(n) + " " +
-                std::to_string(trials->front().id))
+        .Append(TokenWriter()
+                    .Word("askb").Int(n).Int(trials->front().id)
+                    .Take())
         .ok();
   }
   return trials;
@@ -832,7 +834,10 @@ Status TuningServer::DoTell(const std::string& name,
   MutexLock lock(meta->op_mu);
   Status told = service_.Tell(name, result);
   if (told.ok()) {
-    meta->wal.Append("tell x" + EncodeBytes(SerializeTrialResult(result)))
+    meta->wal
+        .Append(TokenWriter()
+                    .Word("tell").Str(SerializeTrialResult(result))
+                    .Take())
         .ok();
   }
   return told;
@@ -851,7 +856,10 @@ Status TuningServer::DoTellBatch(const std::string& name,
   for (const TrialResult& result : results) {
     Status told = service_.Tell(name, result);
     if (!told.ok()) return told;
-    meta->wal.Append("tell x" + EncodeBytes(SerializeTrialResult(result)))
+    meta->wal
+        .Append(TokenWriter()
+                    .Word("tell").Str(SerializeTrialResult(result))
+                    .Take())
         .ok();
   }
   return Status::OK();
@@ -867,7 +875,9 @@ Status TuningServer::DoStep(const std::string& name, bool* progressed) {
   bool stepped = false;
   Status status = service_.Step(name, &stepped);
   if (status.ok() && stepped && before.ok()) {
-    meta->wal.Append("step " + std::to_string(before->iterations_run)).ok();
+    meta->wal.Append(
+        TokenWriter().Word("step").Int(before->iterations_run).Take())
+        .ok();
   }
   if (progressed != nullptr) *progressed = stepped;
   return status;
@@ -890,7 +900,7 @@ void TuningServer::ExpireSweep() {
         service_.ExpireOverdueSession(name, now);
     if (!expired.ok() || !meta->wal.is_open()) continue;
     for (int64_t id : *expired) {
-      meta->wal.Append("expire " + std::to_string(id)).ok();
+      meta->wal.Append(TokenWriter().Word("expire").Int(id).Take()).ok();
     }
   }
 }
@@ -900,14 +910,12 @@ Status TuningServer::ReplayWal(const std::string& name) {
       service::TrialWal::ReadRecords(WalPath(name));
   if (!records.ok()) return records.status();
   for (const std::string& record : *records) {
-    std::istringstream in(record);
-    std::string op;
-    if (!(in >> op)) break;
+    TokenReader in(record);
+    const std::string_view op = in.Word();
     if (op == "ask1" || op == "askb") {
-      int64_t requested = 1;
-      if (op == "askb" && !(in >> requested)) break;
-      int64_t first_id = 0;
-      if (!(in >> first_id)) break;
+      const int requested = op == "askb" ? in.Int32() : 1;
+      const int64_t first_id = in.Int();
+      if (!in.ok()) break;
       Result<int64_t> next = service_.NextTrialId(name);
       if (!next.ok()) return next.status();
       // Rounds commit whole, so the restored cursor always sits on a
@@ -926,8 +934,7 @@ Status TuningServer::ReplayWal(const std::string& name) {
                                   std::to_string(first_id));
         }
       } else {
-        Result<std::vector<Trial>> trials =
-            service_.AskBatch(name, static_cast<int>(requested));
+        Result<std::vector<Trial>> trials = service_.AskBatch(name, requested);
         if (!trials.ok()) return trials.status();
         if (trials->empty() || trials->front().id != first_id) {
           return Status::Internal(
@@ -936,11 +943,9 @@ Status TuningServer::ReplayWal(const std::string& name) {
         }
       }
     } else if (op == "tell") {
-      std::string token;
-      if (!(in >> token) || token.empty() || token[0] != 'x') break;
-      Result<std::string> line = DecodeBytes(token.substr(1));
-      if (!line.ok()) break;
-      Result<TrialResult> result = ParseTrialResult(*line);
+      const std::string line = in.Str();
+      if (!in.ok()) break;
+      Result<TrialResult> result = ParseTrialResult(line);
       if (!result.ok()) break;
       Status told = service_.Tell(name, *result);
       // AlreadyExists: the autosave checkpoint had committed this
@@ -951,16 +956,16 @@ Status TuningServer::ReplayWal(const std::string& name) {
         return told;
       }
     } else if (op == "expire") {
-      int64_t id = 0;
-      if (!(in >> id)) break;
+      const int64_t id = in.Int();
+      if (!in.ok()) break;
       Status expired = service_.Expire(name, id);
       // AlreadyExists: the trial committed before this stale record.
       if (!expired.ok() && expired.code() != StatusCode::kAlreadyExists) {
         return expired;
       }
     } else if (op == "step") {
-      int64_t iters_before = 0;
-      if (!(in >> iters_before)) break;
+      const int64_t iters_before = in.Int();
+      if (!in.ok()) break;
       Result<service::SessionStatus> status = service_.GetStatus(name);
       if (!status.ok()) return status.status();
       if (status->iterations_run > iters_before) continue;

@@ -20,7 +20,7 @@ namespace llamatune {
 /// the one that produced the checkpoint).
 ///
 /// Format: one "obs" line per observation, doubles encoded as IEEE-754
-/// bit patterns (see EncodeDoubleBits in src/core/trial.h):
+/// bit patterns (TokenWriter::Bits, src/common/serde.h):
 ///
 ///   obs <point dim> <hex>... <value hex>
 std::string SerializeHistory(const std::vector<Observation>& history);

@@ -3,12 +3,11 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include <cstdio>
-
+#include "src/common/rng.h"
 #include "src/core/adapter_registry.h"
-#include "src/core/session_log.h"
 #include "src/core/tuning_session.h"
 #include "src/dbsim/simulated_postgres.h"
 #include "src/optimizer/gp_bo.h"
@@ -284,27 +283,44 @@ TEST(CheckpointTest, RestoreRejectsGarbage) {
       fresh.session->Restore("llamatune-checkpoint v99\nmaximize 1\n").ok());
 }
 
-TEST(CheckpointTest, CheckpointFileRoundTrips) {
+TEST(CheckpointTest, CheckpointTextRoundTrips) {
   SessionOptions options;
   options.num_iterations = 14;
   Stack first = MakeStack("random", "llamatune", 23, options);
   for (int i = 0; i < 7; ++i) ASSERT_TRUE(first.session->Step());
 
-  std::string path = ::testing::TempDir() + "/llamatune_checkpoint.txt";
-  ASSERT_TRUE(SaveCheckpointFile(first.session->Save(), path).ok());
-  Result<std::string> loaded = LoadCheckpointFile(path);
-  ASSERT_TRUE(loaded.ok());
-
   Stack resumed = MakeStack("random", "llamatune", 23, options);
-  ASSERT_TRUE(resumed.session->Restore(*loaded).ok());
-  SessionResult via_file = resumed.session->Run();
+  ASSERT_TRUE(resumed.session->Restore(first.session->Save()).ok());
+  SessionResult via_text = resumed.session->Run();
 
   Stack reference = MakeStack("random", "llamatune", 23, options);
-  EXPECT_TRUE(ResultsBitIdentical(reference.session->Run(), via_file));
-  std::remove(path.c_str());
+  EXPECT_TRUE(ResultsBitIdentical(reference.session->Run(), via_text));
+}
 
-  EXPECT_EQ(LoadCheckpointFile("/no/such/dir/ckpt").status().code(),
-            StatusCode::kNotFound);
+TEST(CheckpointTest, RestoreRejectsIntegersOutsideIntRange) {
+  // Each edit adds 2^32 to an int field. Narrowed to int, the doctored
+  // checkpoint used to read back as the original and restore cleanly.
+  SessionOptions options;
+  options.num_iterations = 12;
+  options.batch_size = 4;
+  Stack first = MakeStack("random", "identity", 42, options);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(first.session->Step());
+  const std::string checkpoint = first.session->Save();
+  ASSERT_NE(checkpoint.find("\nround B 4 4\n"), std::string::npos);
+  ASSERT_NE(checkpoint.find("\nhistory 8\n"), std::string::npos);
+
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\nround B 4 4\n", "\nround B 4294967300 4\n"},
+           {"\nround B 4 4\n", "\nround B 4 4294967300\n"},
+           {"\nhistory 8\n", "\nhistory 4294967304\n"}}) {
+    std::string doctored = checkpoint;
+    doctored.replace(doctored.find(from), from.size(), to);
+    Stack fresh = MakeStack("random", "identity", 42, options);
+    Status restored = fresh.session->Restore(doctored);
+    EXPECT_EQ(restored.code(), StatusCode::kInvalidArgument)
+        << to << ": " << restored.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -451,6 +467,23 @@ TEST(RacingCheckpointTest, RestoreRejectsMismatchedRacingOptions) {
   EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(RacingCheckpointTest, RestoreRejectsCohortOutsideIntRange) {
+  SessionOptions options;
+  options.num_iterations = 3;
+  options.racing = CkptRacing();
+  Stack first = MakeStack("random", "llamatune", 42, options);
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(first.session->Step());
+  std::string checkpoint = first.session->Save();
+  const std::string from = " racing 1 4 3 ";
+  ASSERT_NE(checkpoint.find(from), std::string::npos);
+  // 2^32 + 4 used to narrow to the session's cohort of 4.
+  checkpoint.replace(checkpoint.find(from), from.size(),
+                     " racing 1 4294967300 3 ");
+  Stack fresh = MakeStack("random", "llamatune", 42, options);
+  EXPECT_EQ(fresh.session->Restore(checkpoint).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(CheckpointTest, EarlyStoppedSessionRoundTrips) {
   SessionOptions options;
   options.num_iterations = 60;
@@ -465,6 +498,71 @@ TEST(CheckpointTest, EarlyStoppedSessionRoundTrips) {
   ASSERT_TRUE(restored.ok()) << restored.ToString();
   EXPECT_TRUE(resumed.session->finished());
   EXPECT_TRUE(ResultsBitIdentical(stopped, resumed.session->Snapshot()));
+}
+
+// Seeded mutation fuzz: every truncation and a few thousand byte
+// flips of two short valid checkpoints (batch rounds with an expired
+// slot; racing rung rounds). Restore must return a Status, never crash.
+TEST(CheckpointFuzzTest, RestoreNeverCrashesOnTruncatedOrFlippedBytes) {
+  SessionOptions plain;
+  plain.num_iterations = 6;
+  plain.batch_size = 2;
+  SessionOptions racing = plain;
+  racing.batch_size = 1;
+  racing.racing = CkptRacing();
+
+  Stack plain_stack = MakeStack("random", "identity", 5, plain);
+  ASSERT_TRUE(plain_stack.session->Step());
+  Result<std::vector<Trial>> batch = plain_stack.session->AskBatch(2);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_TRUE(plain_stack.session->Expire((*batch)[0].id).ok());
+  TrialResult told;
+  told.trial_id = (*batch)[1].id;
+  told.value = 10.0;
+  told.metrics = {1.0};
+  ASSERT_TRUE(plain_stack.session->Tell(told).ok());
+  ASSERT_TRUE(plain_stack.session->Step());
+  Stack racing_stack = MakeStack("random", "identity", 5, racing);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(racing_stack.session->Step());
+
+  // One objective and adapter per options; each Restore gets a fresh
+  // optimizer and session, as a new process would.
+  struct Target {
+    SessionOptions options;
+    Stack stack;
+    std::string checkpoint;
+  };
+  Target targets[] = {{plain, MakeStack("random", "identity", 5, plain),
+                       plain_stack.session->Save()},
+                      {racing, MakeStack("random", "identity", 5, racing),
+                       racing_stack.session->Save()}};
+  auto restore = [](Target& target, const std::string& text) {
+    std::unique_ptr<Optimizer> optimizer =
+        std::move(OptimizerRegistry::Global().Create(
+                      "random", target.stack.adapter->search_space(), 5))
+            .ValueOrDie();
+    TuningSession session(target.stack.objective.get(),
+                          target.stack.adapter.get(), optimizer.get(),
+                          target.options);
+    return session.Restore(text);
+  };
+  for (Target& target : targets) {
+    ASSERT_TRUE(restore(target, target.checkpoint).ok());
+    for (size_t cut = 0; cut < target.checkpoint.size(); ++cut) {
+      restore(target, target.checkpoint.substr(0, cut));
+    }
+  }
+  Rng rng(20261017);
+  for (int round = 0; round < 2000; ++round) {
+    Target& target = targets[rng.UniformInt(0, 1)];
+    std::string mutated = target.checkpoint;
+    int flips = static_cast<int>(rng.UniformInt(1, 3));
+    for (int m = 0; m < flips; ++m) {
+      mutated[rng.UniformInt(0, mutated.size() - 1)] =
+          static_cast<char>(rng.UniformInt(0, 255));
+    }
+    restore(target, mutated);
+  }
 }
 
 }  // namespace

@@ -738,6 +738,66 @@ TEST(FrameTest, ByteAtATimeDecodesEveryMessageKind) {
 }
 
 // ---------------------------------------------------------------------------
+// Untrusted integers are range-checked, never narrowed
+// ---------------------------------------------------------------------------
+
+/// Replaces the value token after the first `tag` token in `payload`.
+std::string WithField(const std::string& payload, const std::string& tag,
+                      const std::string& value) {
+  size_t at = payload.find(" " + tag + " ");
+  EXPECT_NE(at, std::string::npos) << tag;
+  size_t begin = at + tag.size() + 2;
+  size_t end = payload.find(' ', begin);
+  if (end == std::string::npos) end = payload.size();
+  return payload.substr(0, begin) + value + payload.substr(end);
+}
+
+TEST(MessageTest, IntFieldsOutsideIntRangeAreRejected) {
+  // 2^32 + 1 used to narrow to 1 (a 1-trial ask, a 1-iteration spec).
+  const std::vector<std::string> out_of_range = {
+      "4294967297", "-4294967295", "2147483648", "9223372036854775807"};
+  for (const std::string& value : out_of_range) {
+    std::string name;
+    int n = 0;
+    EXPECT_FALSE(DecodeAskBatch(WithField(EncodeAskBatch("s", 4), "n", value),
+                                &name, &n)
+                     .ok())
+        << value;
+
+    WireSessionSpec racing = SpaceSpecForTest();
+    racing.racing = true;
+    const std::string spec = EncodeSessionSpec(racing);
+    for (const char* tag : {"iterations", "batch", "threads", "cohort",
+                            "rungs"}) {
+      EXPECT_FALSE(DecodeSessionSpec(WithField(spec, tag, value)).ok())
+          << tag << " " << value;
+    }
+
+    WireSessionStatus status;
+    status.status.name = "s";
+    const std::string status_reply = EncodeStatusReply(status);
+    for (const char* tag : {"iters", "total", "pending"}) {
+      EXPECT_FALSE(DecodeStatusReply(WithField(status_reply, tag, value)).ok())
+          << tag << " " << value;
+    }
+    EXPECT_FALSE(
+        DecodeClosedReply(
+            WithField(EncodeClosedReply(WireCloseResult()), "iterations",
+                      value))
+            .ok())
+        << value;
+  }
+  // The int range itself still decodes.
+  std::string name;
+  int n = 0;
+  ASSERT_TRUE(DecodeAskBatch(WithField(EncodeAskBatch("s", 4), "n",
+                                       "2147483647"),
+                             &name, &n)
+                  .ok());
+  EXPECT_EQ(n, 2147483647);
+}
+
+// ---------------------------------------------------------------------------
 // Fuzz: decoders are total functions
 // ---------------------------------------------------------------------------
 
