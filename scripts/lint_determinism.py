@@ -34,6 +34,10 @@ Rules (see docs/static-analysis.md for the rationale table):
                   code — doubles cross serialization boundaries as
                   bit-exact hex (serde::EncodeDoubleBits), never as
                   rounded decimal.
+  stream-parser   std::istringstream / std::stringstream in serde paths —
+                  every trajectory byte is parsed by TokenReader
+                  (common/serde.h), the one token grammar, so no
+                  second hand-rolled parser can drift from it.
   raw-mutex       std::mutex / lock_guard / unique_lock /
                   condition_variable outside src/common/sync.h — all
                   locking goes through the clang-thread-safety-
@@ -68,7 +72,7 @@ import sys
 # frames; iteration order and float rounding there ARE the protocol.
 SERDE_PATHS = (
     "src/common/serde.",
-    "src/core/session_log.",
+    "src/core/trial.",
     "src/core/tuning_session.",
     "src/optimizer/history_io.",
     "src/net/",
@@ -122,6 +126,13 @@ RULES = [
         "only": SERDE_PATHS,
         "allow": (),
         "why": "serialized doubles must be bit-exact (EncodeDoubleBits)",
+    },
+    {
+        "name": "stream-parser",
+        "pattern": re.compile(r"std::i?stringstream\b"),
+        "only": SERDE_PATHS,
+        "allow": (),
+        "why": "serde paths parse with TokenReader (common/serde.h)",
     },
     {
         "name": "raw-mutex",

@@ -58,6 +58,8 @@ class EndToEndTest(unittest.TestCase):
             ("src/bad_clock.cc", "wall-clock"),
             ("src/net/bad_unordered.cc", "unordered-container"),
             ("src/net/bad_format.cc", "lossy-float-format"),
+            ("src/net/bad_istream.cc", "stream-parser"),
+            ("src/core/trial.cc", "stream-parser"),
             ("src/bad_mutex.cc", "raw-mutex"),
             ("src/bad_thread.cc", "raw-thread"),
         }
@@ -190,6 +192,22 @@ class RulePatternTest(unittest.TestCase):
         self.assertIsNone(
             self.pattern("raw-thread").search(
                 "unsigned hc = std::thread::hardware_concurrency();"))
+
+    def test_output_stream_is_not_a_stream_parser(self):
+        self.assertIsNone(
+            self.pattern("stream-parser").search(
+                "std::ostringstream content;"))
+
+    def test_input_streams_are_stream_parsers(self):
+        for line in ("std::istringstream in(record);",
+                     "std::stringstream buffer(text);"):
+            self.assertIsNotNone(
+                self.pattern("stream-parser").search(line), line)
+
+    def test_trial_lines_are_a_serde_path(self):
+        self.assertIn("src/core/trial.", lint_determinism.SERDE_PATHS)
+        self.assertNotIn("src/core/session_log.",
+                         lint_determinism.SERDE_PATHS)
 
     def test_thread_member_is_raw_thread(self):
         self.assertIsNotNone(
