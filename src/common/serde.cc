@@ -198,26 +198,29 @@ bool TokenReader::AtEnd() {
 
 void TokenReader::ExpectEnd() {
   if (ok() && !AtEnd()) {
-    Fail("unexpected trailing token '" + std::string(Word()) + "'");
+    Fail("unexpected trailing token '" + std::string(Next()) + "'");
   }
 }
 
-std::string_view TokenReader::Word(std::string_view what) {
-  if (!ok()) return {};
-  if (AtEnd()) {
-    Fail("truncated input, expected " + std::string(what));
-    return {};
-  }
+std::string_view TokenReader::Next() {
+  if (!ok() || AtEnd()) return {};
   size_t begin = pos_;
   while (pos_ < text_.size() && !IsSpace(text_[pos_])) ++pos_;
   return text_.substr(begin, pos_ - begin);
 }
 
+std::string_view TokenReader::Word(std::string_view what) {
+  std::string_view token = Next();
+  if (token.empty()) Fail("truncated input, expected " + std::string(what));
+  return token;
+}
+
 TokenReader& TokenReader::Expect(std::string_view word) {
-  std::string_view got = Word("'" + std::string(word) + "'");
-  if (ok() && got != word) {
-    Fail("expected '" + std::string(word) + "', got '" + std::string(got) +
-         "'");
+  std::string_view got = Next();
+  if (got != word) {
+    Fail(got.empty() ? "truncated input, expected '" + std::string(word) + "'"
+                     : "expected '" + std::string(word) + "', got '" +
+                           std::string(got) + "'");
   }
   return *this;
 }

@@ -162,6 +162,8 @@ class TokenReader {
 
  private:
   void SkipSpace();
+  /// The next token, or "" at the end of input or after an error.
+  std::string_view Next();
 
   std::string_view text_;
   size_t pos_ = 0;

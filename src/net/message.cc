@@ -206,21 +206,26 @@ WireSessionStatus DecodeStatusFrom(TokenReader* in) {
   return out;
 }
 
-/// Nested trials and results travel as one x-hex token each.
-void EncodeTrials(TokenWriter* out, const std::vector<Trial>& trials) {
-  out->Word("n").Count(trials.size());
-  for (const Trial& trial : trials) out->Str(SerializeTrial(trial));
+/// Nested trials and results travel as a count, then one x-hex token
+/// of their own serialized line each.
+template <typename T>
+void EncodeNested(TokenWriter* out, const std::vector<T>& items,
+                  std::string (*serialize)(const T&)) {
+  out->Word("n").Count(items.size());
+  for (const T& item : items) out->Str(serialize(item));
 }
 
-std::vector<Trial> DecodeTrials(TokenReader* in) {
-  std::vector<Trial> trials;
-  for (int64_t i = 0, n = in->Expect("n").Count(&trials); i < n && in->ok();
+template <typename T>
+std::vector<T> DecodeNested(TokenReader* in,
+                            Result<T> (*parse)(const std::string&)) {
+  std::vector<T> items;
+  for (int64_t i = 0, n = in->Expect("n").Count(&items); i < n && in->ok();
        ++i) {
-    Result<Trial> trial = ParseTrial(in->Str());
-    if (in->ok() && !trial.ok()) in->Fail(trial.status().message());
-    if (trial.ok()) trials.push_back(std::move(trial).ValueOrDie());
+    Result<T> item = parse(in->Str());
+    if (in->ok() && !item.ok()) in->Fail(item.status().message());
+    if (item.ok()) items.push_back(std::move(item).ValueOrDie());
   }
-  return trials;
+  return items;
 }
 
 ServerLifecycle DecodeLifecycle(TokenReader* in) {
@@ -339,11 +344,8 @@ Status DecodeTell(const std::string& payload, std::string* name,
 std::string EncodeTellBatch(const std::string& name,
                             const std::vector<TrialResult>& results) {
   TokenWriter out;
-  out.Word("tellbatch").Word("name").Str(name);
-  out.Word("n").Count(results.size());
-  for (const TrialResult& result : results) {
-    out.Str(SerializeTrialResult(result));
-  }
+  EncodeNested(&out.Word("tellbatch").Word("name").Str(name), results,
+               SerializeTrialResult);
   return out.Take();
 }
 
@@ -351,12 +353,7 @@ Status DecodeTellBatch(const std::string& payload, std::string* name,
                        std::vector<TrialResult>* results) {
   TokenReader in(payload, kWire);
   std::string got_name = in.Expect("tellbatch").Expect("name").Str();
-  std::vector<TrialResult> got;
-  for (int64_t i = 0, n = in.Expect("n").Count(&got); i < n && in.ok(); ++i) {
-    Result<TrialResult> result = ParseTrialResult(in.Str());
-    if (in.ok() && !result.ok()) in.Fail(result.status().message());
-    if (result.ok()) got.push_back(std::move(result).ValueOrDie());
-  }
+  std::vector<TrialResult> got = DecodeNested(&in, ParseTrialResult);
   LT_RETURN_NOT_OK(in.status());
   *name = std::move(got_name);
   *results = std::move(got);
@@ -407,13 +404,14 @@ Result<Trial> DecodeTrialReply(const std::string& payload) {
 
 std::string EncodeTrialsReply(const std::vector<Trial>& trials) {
   TokenWriter out;
-  EncodeTrials(&out.Word("trialsreply"), trials);
+  EncodeNested(&out.Word("trialsreply"), trials, SerializeTrial);
   return out.Take();
 }
 
 Result<std::vector<Trial>> DecodeTrialsReply(const std::string& payload) {
   TokenReader in(payload, kWire);
-  std::vector<Trial> trials = DecodeTrials(&in.Expect("trialsreply"));
+  std::vector<Trial> trials =
+      DecodeNested(&in.Expect("trialsreply"), ParseTrial);
   return in.Finish(std::move(trials));
 }
 
@@ -492,7 +490,7 @@ std::string EncodePendingReply(int64_t next_trial_id,
                                const std::vector<Trial>& trials) {
   TokenWriter out;
   out.Word("pendingreply").Word("next").Int(next_trial_id);
-  EncodeTrials(&out, trials);
+  EncodeNested(&out, trials, SerializeTrial);
   return out.Take();
 }
 
@@ -500,7 +498,7 @@ Status DecodePendingReply(const std::string& payload, int64_t* next_trial_id,
                           std::vector<Trial>* trials) {
   TokenReader in(payload, kWire);
   int64_t next = in.Expect("pendingreply").Expect("next").Int();
-  std::vector<Trial> got = DecodeTrials(&in);
+  std::vector<Trial> got = DecodeNested(&in, ParseTrial);
   LT_RETURN_NOT_OK(in.status());
   *next_trial_id = next;
   *trials = std::move(got);
