@@ -259,7 +259,9 @@ TEST(FuzzTest, TrialAndHistoryParsersNeverCrashOnMutatedBytes) {
                                            SerializeHistory(history)};
   auto parse_all = [](const std::string& text) {
     Result<Trial> t = ParseTrial(text);
-    if (t.ok()) EXPECT_TRUE(t->fidelity > 0.0 && t->fidelity <= 1.0);
+    if (t.ok()) {
+      EXPECT_TRUE(t->fidelity > 0.0 && t->fidelity <= 1.0);
+    }
     ParseTrialResult(text);
     ParseHistory(text, -1);
     ParseHistory(text, 2);
