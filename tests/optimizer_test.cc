@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <set>
 
+#include "src/common/rng.h"
+#include "src/core/adapter_registry.h"
+#include "src/dbsim/knob_catalog.h"
 #include "src/optimizer/gp_bo.h"
 #include "src/optimizer/random_search.h"
 #include "src/optimizer/smac.h"
@@ -218,6 +223,52 @@ TEST_P(SmacBucketProperty, SuggestionsOnBucketGrid) {
 
 INSTANTIATE_TEST_SUITE_P(Ks, SmacBucketProperty,
                          ::testing::Values(3, 11, 101, 10000));
+
+// Golden SMAC trajectory pins. The bits of 120 suggestions (10 LHS,
+// then model-based picks with the periodic random interleave) fold
+// into one digest, so a change to the forest fit, the candidate pool
+// or the EI reduction shows as a new digest. The spaces match
+// RandomForestGoldenTest's. The constants were recorded from the
+// per-node index-vector forest fit and must not be edited to make a
+// change pass.
+SearchSpace Bucketized16() {
+  std::vector<SearchDim> dims;
+  for (int j = 0; j < 16; ++j) {
+    dims.push_back(j % 2 == 0 ? SearchDim::Continuous(0.0, 1.0)
+                              : SearchDim::Continuous(-1.0, 3.0, 5 + j));
+  }
+  return SearchSpace(std::move(dims));
+}
+
+SearchSpace IdentityV96() {
+  ConfigSpace catalog = dbsim::PostgresV96Catalog();
+  std::unique_ptr<SpaceAdapter> adapter =
+      std::move(AdapterRegistry::Global().Create("identity", &catalog, 1))
+          .ValueOrDie();
+  return adapter->search_space();
+}
+
+uint64_t SmacDigest(const SearchSpace& space, uint64_t seed) {
+  SmacOptimizer opt(space, {}, seed);
+  Rng noise(seed + 1000);
+  uint64_t digest = 0;
+  for (int i = 0; i < 120; ++i) {
+    std::vector<double> p = opt.Suggest();
+    digest = HashCombine(digest, HashDoubles(p));
+    double value = noise.Gaussian();
+    for (size_t j = 0; j < p.size(); j += 3) value += std::sin(p[j] + j);
+    opt.Observe(p, value);
+  }
+  return digest;
+}
+
+TEST(SmacGoldenTest, SixteenDimBucketizedTrajectoryIsPinned) {
+  EXPECT_EQ(SmacDigest(Bucketized16(), 31), 0xe647c4a7a73fe32bull);
+}
+
+TEST(SmacGoldenTest, NinetyDimIdentityTrajectoryIsPinned) {
+  EXPECT_EQ(SmacDigest(IdentityV96(), 41), 0xadbf4614a9b01ab1ull);
+}
 
 }  // namespace
 }  // namespace llamatune

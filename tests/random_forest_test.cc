@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
 #include "src/common/rng.h"
+#include "src/core/adapter_registry.h"
+#include "src/dbsim/knob_catalog.h"
 #include "src/model/random_forest.h"
 #include "src/sampling/uniform.h"
 
@@ -138,6 +142,54 @@ TEST(RandomForestTest, RefitReplacesModel) {
   EXPECT_NEAR(rf.PredictMean({0.5, 0.5}), 5.0, 1e-9);
 }
 
+TEST(RandomForestTest, FitsTinyTrainingSets) {
+  for (bool bootstrap : {true, false}) {
+    RandomForestOptions options;
+    options.bootstrap = bootstrap;
+    RandomForest rf(Space2d(), options, 12);
+    rf.Fit({}, {});
+    EXPECT_FALSE(rf.fitted());
+    rf.Fit({{0.3, 0.7}}, {4.0});
+    ASSERT_TRUE(rf.fitted());
+    double mean = 0.0, variance = -1.0;
+    rf.Predict({0.9, 0.1}, &mean, &variance);
+    EXPECT_EQ(mean, 4.0);
+    EXPECT_EQ(variance, 0.0);
+    // Two rows are below min_samples_split, so every tree is one leaf
+    // over its (possibly resampled) pair.
+    rf.Fit({{0.1, 0.1}, {0.9, 0.9}}, {2.0, 6.0});
+    rf.Predict({0.5, 0.5}, &mean, &variance);
+    EXPECT_GE(mean, 2.0);
+    EXPECT_LE(mean, 6.0);
+    EXPECT_GE(variance, 0.0);
+    if (!bootstrap) {
+      EXPECT_EQ(mean, 4.0);
+      EXPECT_EQ(variance, 4.0);
+    }
+  }
+}
+
+TEST(RandomForestTest, ConstantFeaturesGiveOneLeafPerTree) {
+  SearchSpace space({SearchDim::Categorical(3), SearchDim::Continuous(0.0, 1.0),
+                     SearchDim::Continuous(0.0, 1.0, 4)});
+  RandomForestOptions options;
+  options.bootstrap = false;
+  RandomForest rf(space, options, 13);
+  std::vector<std::vector<double>> xs(30, {2.0, 0.25, 0.5});
+  std::vector<double> ys;
+  for (int i = 0; i < 30; ++i) ys.push_back(i % 2 == 0 ? 1.0 : 3.0);
+  rf.Fit(xs, ys);
+  // No feature varies, so no split is possible: every tree predicts the
+  // training mean and population variance wherever it is queried.
+  for (const std::vector<double>& x :
+       {std::vector<double>{2.0, 0.25, 0.5}, {0.0, 0.9, 1.0}}) {
+    double mean = 0.0, variance = -1.0;
+    rf.Predict(x, &mean, &variance);
+    EXPECT_EQ(mean, 2.0);
+    EXPECT_EQ(variance, 1.0);
+  }
+}
+
 // Property: law-of-total-variance output is always non-negative.
 class RfVarianceProperty : public ::testing::TestWithParam<int> {};
 
@@ -162,6 +214,106 @@ TEST_P(RfVarianceProperty, NonNegativeVariance) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RfVarianceProperty, ::testing::Range(1, 7));
+
+// Golden fit pins. Each digest folds the bits of Predict's mean and
+// variance on a fixed 64-point grid after each of 3 successive Fits
+// (n = 20, 50, 100) of one forest, so any change to the fit arithmetic
+// -- summation order, the left/right order of a split, a skipped or
+// reordered RNG draw -- shows as a new digest. Every seventh training
+// row repeats an earlier x with a fresh y (duplicate rows), and the
+// constant-y case fits y = 0.7 everywhere (not a binary fraction, so
+// leaf means and split scores carry rounding that depends on which
+// rows each node holds, and in which order). The constants were recorded
+// from the per-node index-vector fit and must not be edited to make a
+// change pass.
+SearchSpace Bucketized16() {
+  std::vector<SearchDim> dims;
+  for (int j = 0; j < 16; ++j) {
+    dims.push_back(j % 2 == 0 ? SearchDim::Continuous(0.0, 1.0)
+                              : SearchDim::Continuous(-1.0, 3.0, 5 + j));
+  }
+  return SearchSpace(std::move(dims));
+}
+
+SearchSpace IdentityV96() {
+  ConfigSpace catalog = dbsim::PostgresV96Catalog();
+  std::unique_ptr<SpaceAdapter> adapter =
+      std::move(AdapterRegistry::Global().Create("identity", &catalog, 1))
+          .ValueOrDie();
+  return adapter->search_space();
+}
+
+struct GoldenCase {
+  bool bootstrap;
+  int min_samples_leaf;
+  bool constant_y;
+};
+
+uint64_t ForestDigest(const SearchSpace& space, const GoldenCase& c,
+                      uint64_t seed) {
+  RandomForestOptions options;
+  options.bootstrap = c.bootstrap;
+  options.min_samples_leaf = c.min_samples_leaf;
+  RandomForest rf(space, options, seed);
+  Rng data(seed + 1000);
+  std::vector<std::vector<double>> grid = UniformSamples(space, 64, &data);
+  std::vector<std::vector<double>> xs;
+  std::vector<double> ys;
+  uint64_t digest = 0;
+  for (size_t n : {20, 50, 100}) {
+    while (xs.size() < n) {
+      std::vector<double> x = xs.size() % 7 == 6 ? xs[xs.size() / 2]
+                                                 : UniformSample(space, &data);
+      double y = 0.7;
+      if (!c.constant_y) {
+        y = data.Gaussian();
+        for (size_t j = 0; j < x.size(); j += 3) y += std::sin(x[j] + j);
+      }
+      xs.push_back(std::move(x));
+      ys.push_back(y);
+    }
+    rf.Fit(xs, ys);
+    for (const auto& g : grid) {
+      double mean = 0.0, variance = 0.0;
+      rf.Predict(g, &mean, &variance);
+      digest = HashCombine(digest, HashDoubles({mean, variance}));
+    }
+  }
+  return digest;
+}
+
+constexpr GoldenCase kGoldenCases[] = {
+    {true, 1, false}, {false, 1, false}, {true, 3, false},
+    {false, 3, false}, {true, 1, true},
+};
+
+TEST(RandomForestGoldenTest, SixteenDimBucketizedFitsArePinned) {
+  const uint64_t expected[] = {
+      0x3fca78bb0ceedfd6ull, 0x5cc44fbd0e0f9a9cull, 0x0503a3890aafe082ull,
+      0x42e9216a1755f4b9ull, 0x23aa93e612961c81ull};
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(ForestDigest(Bucketized16(), kGoldenCases[i], 11 + i),
+              expected[i])
+        << "case " << i;
+  }
+}
+
+TEST(RandomForestGoldenTest, NinetyDimIdentityFitsArePinned) {
+  SearchSpace space = IdentityV96();
+  ASSERT_EQ(space.num_dims(), 90);
+  int categorical = 0;
+  for (int j = 0; j < space.num_dims(); ++j) {
+    categorical += space.dim(j).type == SearchDim::Type::kCategorical;
+  }
+  ASSERT_GT(categorical, 0);
+  const uint64_t expected[] = {
+      0xb802d2d6ce6b46c0ull, 0x86eba50e335f9230ull, 0x4dd0d8854bdcc5ccull,
+      0x444cb42acfae2d52ull, 0x2a45ae37d3436901ull};
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(ForestDigest(space, kGoldenCases[i], 21 + i), expected[i])
+        << "case " << i;
+  }
+}
 
 }  // namespace
 }  // namespace llamatune
