@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-
-#include "src/common/math_util.h"
+#include <numeric>
 
 namespace llamatune {
 
@@ -22,7 +21,105 @@ struct Node {
   // Leaf statistics.
   double mean = 0.0;
   double variance = 0.0;
+
+  bool GoesLeft(double x) const {
+    return categorical_split ? x == category : x <= threshold;
+  }
 };
+
+// One fit's training data and the scratch all of its trees reuse: x
+// feature-major (x[f * n + i] = xs[i][f]), the row-index buffer whose
+// [begin, end) ranges are the nodes of the tree being grown, and the
+// current node's gathered x, y and y^2.
+struct FitBuffers {
+  FitBuffers(const std::vector<std::vector<double>>& xs, int d)
+      : n(static_cast<int>(xs.size())), x(static_cast<size_t>(n) * d),
+        node_x(n), node_y(n), node_y_sq(n), rows(n), features(d) {
+    for (int i = 0; i < n; ++i) {
+      for (int f = 0; f < d; ++f) x[static_cast<size_t>(f) * n + i] = xs[i][f];
+    }
+  }
+
+  int n;
+  std::vector<double> x, node_x, node_y, node_y_sq;
+  std::vector<int> rows, features;
+};
+
+// Running count, sum and sum of squares of one side of a candidate split.
+struct Moments {
+  int count = 0;
+  double sum = 0.0, sum_sq = 0.0;
+  // n times the variance; 0 below two elements.
+  double VarianceTimesN() const {
+    return count < 2 ? 0.0 : sum_sq - sum * sum / count;
+  }
+};
+
+void MakeLeaf(Node* node, const double* y, int m) {
+  double sum = 0.0, acc = 0.0;
+  for (int k = 0; k < m; ++k) sum += y[k];
+  double mean = m == 0 ? 0.0 : sum / m;
+  for (int k = 0; k < m; ++k) acc += (y[k] - mean) * (y[k] - mean);
+  node->mean = mean;
+  node->variance = m < 2 ? 0.0 : acc / m;
+}
+
+// Evaluates a few random cuts on one feature over the m rows of
+// buf->rows from `begin` (extra-trees style randomized split search:
+// fast and a good exploration/variance trade-off for surrogate forests)
+// and keeps the best split so far in `best`. All cuts are drawn first,
+// then scored in one pass.
+void TrySplitsOnFeature(const SearchSpace& space, int feature,
+                        FitBuffers* buf, int begin, int m,
+                        int min_samples_leaf, Rng* rng, Node* best,
+                        double* best_score) {
+  const double* column = buf->x.data() + static_cast<size_t>(feature) * buf->n;
+  double* xs = buf->node_x.data();
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (int k = 0; k < m; ++k) {
+    xs[k] = column[buf->rows[begin + k]];
+    lo = std::min(lo, xs[k]);
+    hi = std::max(hi, xs[k]);
+  }
+  if (!(hi > lo)) return;  // constant feature in this node
+
+  static constexpr int kThresholdsPerFeature = 3;
+  bool categorical = space.dim(feature).type == SearchDim::Type::kCategorical;
+  double cuts[kThresholdsPerFeature];
+  int num_cuts = kThresholdsPerFeature;
+  if (categorical) {
+    // One-vs-rest splits on one or two categories present in this node.
+    cuts[0] = xs[rng->UniformInt(0, m - 1)];
+    cuts[1] = xs[rng->UniformInt(0, m - 1)];
+    num_cuts = cuts[1] != cuts[0] ? 2 : 1;
+  } else {
+    for (double& c : cuts) c = rng->Uniform(lo, hi);
+  }
+
+  Moments left[kThresholdsPerFeature], right[kThresholdsPerFeature];
+  for (int k = 0; k < m; ++k) {
+    for (int t = 0; t < num_cuts; ++t) {
+      bool go_left = categorical ? xs[k] == cuts[t] : xs[k] <= cuts[t];
+      Moments& side = go_left ? left[t] : right[t];
+      ++side.count;
+      side.sum += buf->node_y[k];
+      side.sum_sq += buf->node_y_sq[k];
+    }
+  }
+  for (int t = 0; t < num_cuts; ++t) {
+    if (std::min(left[t].count, right[t].count) < min_samples_leaf) continue;
+    double score = left[t].VarianceTimesN() + right[t].VarianceTimesN();
+    if (score < *best_score) {
+      *best = Node();
+      best->is_leaf = false;
+      best->feature = feature;
+      best->categorical_split = categorical;
+      (categorical ? best->category : best->threshold) = cuts[t];
+      *best_score = score;
+    }
+  }
+}
 
 }  // namespace
 
@@ -33,118 +130,11 @@ struct RandomForest::Tree {
     int idx = 0;
     while (!nodes[idx].is_leaf) {
       const Node& node = nodes[idx];
-      bool go_left;
-      if (node.categorical_split) {
-        go_left = x[node.feature] == node.category;
-      } else {
-        go_left = x[node.feature] <= node.threshold;
-      }
-      idx = go_left ? node.left : node.right;
+      idx = node.GoesLeft(x[node.feature]) ? node.left : node.right;
     }
     return nodes[idx];
   }
 };
-
-namespace {
-
-double SubsetVarianceTimesN(const std::vector<double>& ys,
-                            const std::vector<int>& idx) {
-  if (idx.size() < 2) return 0.0;
-  double sum = 0.0, sum_sq = 0.0;
-  for (int i : idx) {
-    sum += ys[i];
-    sum_sq += ys[i] * ys[i];
-  }
-  double n = static_cast<double>(idx.size());
-  return sum_sq - sum * sum / n;
-}
-
-void MakeLeaf(Node* node, const std::vector<double>& ys,
-              const std::vector<int>& idx) {
-  node->is_leaf = true;
-  double sum = 0.0;
-  for (int i : idx) sum += ys[i];
-  double n = static_cast<double>(idx.size());
-  node->mean = idx.empty() ? 0.0 : sum / n;
-  double acc = 0.0;
-  for (int i : idx) acc += (ys[i] - node->mean) * (ys[i] - node->mean);
-  node->variance = idx.size() < 2 ? 0.0 : acc / n;
-}
-
-struct SplitChoice {
-  bool valid = false;
-  int feature = -1;
-  bool categorical = false;
-  double threshold = 0.0;
-  double category = -1.0;
-  double score = std::numeric_limits<double>::infinity();
-  std::vector<int> left_idx;
-  std::vector<int> right_idx;
-};
-
-// Evaluates the best of a few random thresholds on one feature
-// (extra-trees style randomized split search: fast and a good
-// exploration/variance trade-off for surrogate forests).
-void TrySplitsOnFeature(const SearchSpace& space, int feature,
-                        const std::vector<std::vector<double>>& xs,
-                        const std::vector<double>& ys,
-                        const std::vector<int>& idx, int min_samples_leaf,
-                        Rng* rng, SplitChoice* best) {
-  const SearchDim& dim = space.dim(feature);
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (int i : idx) {
-    lo = std::min(lo, xs[i][feature]);
-    hi = std::max(hi, xs[i][feature]);
-  }
-  if (!(hi > lo)) return;  // constant feature in this node
-
-  auto consider = [&](bool categorical, double threshold, double category) {
-    std::vector<int> left, right;
-    left.reserve(idx.size());
-    right.reserve(idx.size());
-    for (int i : idx) {
-      bool go_left = categorical ? xs[i][feature] == category
-                                 : xs[i][feature] <= threshold;
-      (go_left ? left : right).push_back(i);
-    }
-    if (static_cast<int>(left.size()) < min_samples_leaf ||
-        static_cast<int>(right.size()) < min_samples_leaf) {
-      return;
-    }
-    double score =
-        SubsetVarianceTimesN(ys, left) + SubsetVarianceTimesN(ys, right);
-    if (score < best->score) {
-      best->valid = true;
-      best->feature = feature;
-      best->categorical = categorical;
-      best->threshold = threshold;
-      best->category = category;
-      best->score = score;
-      best->left_idx = std::move(left);
-      best->right_idx = std::move(right);
-    }
-  };
-
-  if (dim.type == SearchDim::Type::kCategorical) {
-    // One-vs-rest split on a category present in this node.
-    int present = static_cast<int>(rng->UniformInt(0, idx.size() - 1));
-    double cat = xs[idx[present]][feature];
-    consider(/*categorical=*/true, 0.0, cat);
-    // Also try one more random present category for better splits.
-    present = static_cast<int>(rng->UniformInt(0, idx.size() - 1));
-    double cat2 = xs[idx[present]][feature];
-    if (cat2 != cat) consider(true, 0.0, cat2);
-  } else {
-    static constexpr int kThresholdsPerFeature = 3;
-    for (int t = 0; t < kThresholdsPerFeature; ++t) {
-      double threshold = rng->Uniform(lo, hi);
-      consider(/*categorical=*/false, threshold, -1.0);
-    }
-  }
-}
-
-}  // namespace
 
 RandomForest::RandomForest(const SearchSpace& space,
                            RandomForestOptions options, uint64_t seed)
@@ -156,68 +146,70 @@ RandomForest& RandomForest::operator=(RandomForest&&) noexcept = default;
 
 void RandomForest::Fit(const std::vector<std::vector<double>>& xs,
                        const std::vector<double>& ys) {
-  trees_.clear();
-  int n = static_cast<int>(xs.size());
   int d = space_.num_dims();
-  int features_per_split = std::max(
-      1, static_cast<int>(std::ceil(options_.feature_fraction * d)));
+  int features_per_split = std::min(
+      d, std::max(1, static_cast<int>(
+                         std::ceil(options_.feature_fraction * d))));
+  FitBuffers buf(xs, d);
+  int n = buf.n;
 
-  for (int t = 0; t < options_.num_trees; ++t) {
-    auto tree = std::make_unique<Tree>();
-    std::vector<int> root_idx;
-    root_idx.reserve(n);
+  trees_.resize(options_.num_trees);
+  for (std::unique_ptr<Tree>& tree : trees_) {
+    if (!tree) tree = std::make_unique<Tree>();
     if (options_.bootstrap && n > 1) {
-      for (int i = 0; i < n; ++i) {
-        root_idx.push_back(static_cast<int>(rng_.UniformInt(0, n - 1)));
+      for (int& row : buf.rows) {
+        row = static_cast<int>(rng_.UniformInt(0, n - 1));
       }
     } else {
-      for (int i = 0; i < n; ++i) root_idx.push_back(i);
+      std::iota(buf.rows.begin(), buf.rows.end(), 0);
     }
 
-    // Iterative tree growth with an explicit work stack.
-    struct Work {
-      int node;
-      std::vector<int> idx;
-      int depth;
-    };
-    tree->nodes.emplace_back();
-    std::vector<Work> stack;
-    stack.push_back({0, std::move(root_idx), 0});
+    // Iterative growth with an explicit work stack; each node owns the
+    // range [begin, end) of buf.rows.
+    struct Work { int node, begin, end, depth; };
+    std::vector<Node>& nodes = tree->nodes;
+    nodes.assign(1, Node());
+    std::vector<Work> stack = {{0, 0, n, 0}};
     while (!stack.empty()) {
-      Work work = std::move(stack.back());
+      Work work = stack.back();
       stack.pop_back();
-      Node& node = tree->nodes[work.node];
-      bool can_split =
-          static_cast<int>(work.idx.size()) >= options_.min_samples_split &&
-          work.depth < options_.max_depth;
-      SplitChoice best;
-      if (can_split) {
-        std::vector<int> features =
-            rng_.SampleWithoutReplacement(d, features_per_split);
-        for (int f : features) {
-          TrySplitsOnFeature(space_, f, xs, ys, work.idx,
-                             options_.min_samples_leaf, &rng_, &best);
+      int m = work.end - work.begin;
+      for (int k = 0; k < m; ++k) {
+        buf.node_y[k] = ys[buf.rows[work.begin + k]];
+        buf.node_y_sq[k] = buf.node_y[k] * buf.node_y[k];
+      }
+      Node best;
+      double best_score = std::numeric_limits<double>::infinity();
+      if (m >= options_.min_samples_split && work.depth < options_.max_depth) {
+        // The same draws as Rng::SampleWithoutReplacement(d, k).
+        std::iota(buf.features.begin(), buf.features.end(), 0);
+        std::shuffle(buf.features.begin(), buf.features.end(), rng_.engine());
+        for (int j = 0; j < features_per_split; ++j) {
+          TrySplitsOnFeature(space_, buf.features[j], &buf, work.begin, m,
+                             options_.min_samples_leaf, &rng_, &best,
+                             &best_score);
         }
       }
-      if (!best.valid) {
-        MakeLeaf(&node, ys, work.idx);
+      if (best.is_leaf) {
+        MakeLeaf(&nodes[work.node], buf.node_y.data(), m);
         continue;
       }
-      node.is_leaf = false;
-      node.feature = best.feature;
-      node.categorical_split = best.categorical;
-      node.threshold = best.threshold;
-      node.category = best.category;
-      int left = static_cast<int>(tree->nodes.size());
-      tree->nodes.emplace_back();
-      tree->nodes.emplace_back();
-      // Note: `node` reference may dangle after emplace_back; re-index.
-      tree->nodes[work.node].left = left;
-      tree->nodes[work.node].right = left + 1;
-      stack.push_back({left, std::move(best.left_idx), work.depth + 1});
-      stack.push_back({left + 1, std::move(best.right_idx), work.depth + 1});
+      // Stable, so each child keeps its rows in the parent's order.
+      const double* column =
+          buf.x.data() + static_cast<size_t>(best.feature) * n;
+      int mid = static_cast<int>(
+          std::stable_partition(
+              buf.rows.begin() + work.begin, buf.rows.begin() + work.end,
+              [&](int row) { return best.GoesLeft(column[row]); }) -
+          buf.rows.begin());
+      int left = static_cast<int>(nodes.size());
+      best.left = left;
+      best.right = left + 1;
+      nodes[work.node] = best;
+      nodes.resize(left + 2);
+      stack.push_back({left, work.begin, mid, work.depth + 1});
+      stack.push_back({left + 1, mid, work.end, work.depth + 1});
     }
-    trees_.push_back(std::move(tree));
   }
   fitted_ = !xs.empty();
 }

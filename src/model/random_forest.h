@@ -34,6 +34,15 @@ struct RandomForestOptions {
 /// of per-tree leaf means, and the variance applies the law of total
 /// variance across trees (variance of leaf means + mean of leaf
 /// variances).
+///
+/// Bit contract: a fit is a pure function of the seed, the options,
+/// the fits before it and (xs, ys). Rng draws come in a fixed order
+/// (per tree its bootstrap rows; per node, depth first and right child
+/// first, one feature shuffle and each sampled non-constant feature's
+/// cuts). Split scores come from count/sum/sum-of-squares accumulators
+/// filled in the node's row order, partitions are stable, and leaves
+/// sum in row order, so with FP contraction off (the build pins
+/// -ffp-contract=off) the fitted bits do not depend on vectorisation.
 class RandomForest {
  public:
   RandomForest(const SearchSpace& space, RandomForestOptions options,
@@ -53,7 +62,6 @@ class RandomForest {
   double PredictMean(const std::vector<double>& x) const;
 
   bool fitted() const { return fitted_; }
-  int num_trees() const { return options_.num_trees; }
 
  private:
   struct Tree;
