@@ -11,9 +11,13 @@
 //   batch           — batch-1 vs batch-8 session wall-clock over a
 //                     clonable spin objective (speedup tracks
 //                     min(cores, batch))
+//   forest_fit[]    — SMAC's RandomForest::Fit at d in {16, 90} (the
+//                     v9.6 catalog's llamatune and identity spaces) and
+//                     n in {50, 100}: median and p90 ms over 100 fits
 //
 // Usage: bm_hotpath [--max-n=N] (default 200; lower for smoke runs)
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -28,11 +32,14 @@
 #include "src/common/thread_pool.h"
 #include "src/core/adapter_registry.h"
 #include "src/core/tuning_session.h"
+#include "src/dbsim/knob_catalog.h"
 #include "src/model/acquisition.h"
 #include "src/model/gp.h"
 #include "src/model/kernels.h"
+#include "src/model/random_forest.h"
 #include "src/optimizer/random_search.h"
 #include "src/optimizer/search_space.h"
+#include "src/sampling/uniform.h"
 
 namespace llamatune {
 namespace {
@@ -333,6 +340,50 @@ BatchResult RunBatchSession(int batch_size, int spin_iters) {
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// Part 3: random-forest fit (SMAC's per-suggestion model refit).
+// ---------------------------------------------------------------------------
+
+struct ForestFitRow {
+  int d = 0;
+  int n = 0;
+  double median_ms = 0.0;
+  double p90_ms = 0.0;
+};
+
+// Times RandomForest::Fit with the default options (10 trees, as SMAC
+// uses) on n uniform points of the adapter's search space. Three
+// untimed warm-up fits, then 100 timed refits of the same forest (so
+// ten samples lie beyond the reported p90).
+ForestFitRow TimeForestFit(const char* adapter_key, int n) {
+  constexpr int kWarmup = 3;
+  constexpr int kReps = 100;
+  ConfigSpace catalog = dbsim::PostgresV96Catalog();
+  std::unique_ptr<SpaceAdapter> adapter =
+      std::move(AdapterRegistry::Global().Create(adapter_key, &catalog, 5))
+          .ValueOrDie();
+  const SearchSpace& space = adapter->search_space();
+  Rng rng(4242);
+  std::vector<std::vector<double>> xs = UniformSamples(space, n, &rng);
+  std::vector<double> ys;
+  for (const auto& x : xs) ys.push_back(SyntheticObjective(x));
+  RandomForest forest(space, RandomForestOptions(), 7);
+  std::vector<double> ms;
+  for (int r = 0; r < kWarmup + kReps; ++r) {
+    double t0 = NowSeconds();
+    forest.Fit(xs, ys);
+    double t1 = NowSeconds();
+    if (r >= kWarmup) ms.push_back((t1 - t0) * 1e3);
+  }
+  std::sort(ms.begin(), ms.end());
+  ForestFitRow row;
+  row.d = space.num_dims();
+  row.n = n;
+  row.median_ms = ms[ms.size() / 2];
+  row.p90_ms = ms[ms.size() * 9 / 10 - 1];  // nearest rank
+  return row;
+}
+
 }  // namespace
 }  // namespace llamatune
 
@@ -411,6 +462,12 @@ int main(int argc, char** argv) {
   BatchResult batch8_repeat = RunBatchSession(8, spin_iters);
   bool deterministic = batch8.best == batch8_repeat.best;
 
+  std::printf("[hotpath] random-forest fits...\n");
+  std::vector<ForestFitRow> forest_rows;
+  for (const char* key : {"llamatune", "identity"}) {
+    for (int n : {50, 100}) forest_rows.push_back(TimeForestFit(key, n));
+  }
+
   int cores = ThreadPool::DefaultThreads();
   FILE* json = std::fopen("BENCH_hotpath.json", "w");
   if (json == nullptr) {
@@ -465,10 +522,20 @@ int main(int argc, char** argv) {
   std::fprintf(json,
                "  \"batch\": {\"iterations\": 48, \"batch_sizes\": [1, 8], "
                "\"batch1_seconds\": %.4f, \"batch8_seconds\": %.4f, "
-               "\"speedup\": %.2f, \"deterministic_repeat\": %s}\n",
+               "\"speedup\": %.2f, \"deterministic_repeat\": %s},\n",
                batch1.seconds, batch8.seconds,
                batch1.seconds / std::max(batch8.seconds, 1e-12),
                deterministic ? "true" : "false");
+  std::fprintf(json, "  \"forest_fit\": [\n");
+  for (size_t i = 0; i < forest_rows.size(); ++i) {
+    std::fprintf(json,
+                 "    {\"d\": %d, \"n\": %d, \"fit_ms\": %.4f, "
+                 "\"fit_ms_p90\": %.4f}%s\n",
+                 forest_rows[i].d, forest_rows[i].n, forest_rows[i].median_ms,
+                 forest_rows[i].p90_ms,
+                 i + 1 < forest_rows.size() ? "," : "");
+  }
+  std::fprintf(json, "  ]\n");
   std::fprintf(json, "}\n");
   std::fclose(json);
 
@@ -491,6 +558,11 @@ int main(int argc, char** argv) {
               cores, batch1.seconds, batch8.seconds,
               batch1.seconds / std::max(batch8.seconds, 1e-12),
               deterministic ? "true" : "false");
+  for (const ForestFitRow& row : forest_rows) {
+    std::printf("[hotpath] forest fit d=%2d n=%3d  median %.3f ms  "
+                "p90 %.3f ms\n",
+                row.d, row.n, row.median_ms, row.p90_ms);
+  }
   std::printf("[hotpath] wrote BENCH_hotpath.json\n");
   return 0;
 }

@@ -6,7 +6,8 @@ Usage:
 
 Handles the three bench formats, keyed by their "bench" field:
 
-* ``hotpath`` (BENCH_hotpath.json) — wall-clock metrics only.
+* ``hotpath`` (BENCH_hotpath.json) — wall-clock metrics only, including
+  the random-forest fit rows (median ms per d and n).
 * ``batch`` (BENCH_batch.json) — per-(optimizer, batch size) series:
   sample-efficiency metrics (``mean_evals_to_fallback_best``, lower is
   better — deterministic for fixed seeds, so any drift is a real
@@ -65,6 +66,10 @@ def collect_hotpath_metrics(doc):
     for field in ("batch1_seconds", "batch8_seconds"):
         if field in batch:
             metrics[f"batch.{field}"] = batch[field]
+    for entry in doc.get("forest_fit", []):
+        if "fit_ms" in entry:
+            metrics[f"forest_fit.fit_ms[d={entry.get('d')},"
+                    f"n={entry.get('n')}]"] = entry["fit_ms"]
     return metrics
 
 

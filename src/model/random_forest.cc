@@ -74,13 +74,13 @@ void TrySplitsOnFeature(const SearchSpace& space, int feature,
                         int min_samples_leaf, Rng* rng, Node* best,
                         double* best_score) {
   const double* column = buf->x.data() + static_cast<size_t>(feature) * buf->n;
-  double* xs = buf->node_x.data();
+  double* x = buf->node_x.data();  // the node's values of `feature`
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
   for (int k = 0; k < m; ++k) {
-    xs[k] = column[buf->rows[begin + k]];
-    lo = std::min(lo, xs[k]);
-    hi = std::max(hi, xs[k]);
+    x[k] = column[buf->rows[begin + k]];
+    lo = std::min(lo, x[k]);
+    hi = std::max(hi, x[k]);
   }
   if (!(hi > lo)) return;  // constant feature in this node
 
@@ -90,8 +90,8 @@ void TrySplitsOnFeature(const SearchSpace& space, int feature,
   int num_cuts = kThresholdsPerFeature;
   if (categorical) {
     // One-vs-rest splits on one or two categories present in this node.
-    cuts[0] = xs[rng->UniformInt(0, m - 1)];
-    cuts[1] = xs[rng->UniformInt(0, m - 1)];
+    cuts[0] = x[rng->UniformInt(0, m - 1)];
+    cuts[1] = x[rng->UniformInt(0, m - 1)];
     num_cuts = cuts[1] != cuts[0] ? 2 : 1;
   } else {
     for (double& c : cuts) c = rng->Uniform(lo, hi);
@@ -100,7 +100,7 @@ void TrySplitsOnFeature(const SearchSpace& space, int feature,
   Moments left[kThresholdsPerFeature], right[kThresholdsPerFeature];
   for (int k = 0; k < m; ++k) {
     for (int t = 0; t < num_cuts; ++t) {
-      bool go_left = categorical ? xs[k] == cuts[t] : xs[k] <= cuts[t];
+      bool go_left = categorical ? x[k] == cuts[t] : x[k] <= cuts[t];
       Moments& side = go_left ? left[t] : right[t];
       ++side.count;
       side.sum += buf->node_y[k];
