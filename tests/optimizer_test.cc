@@ -230,7 +230,8 @@ INSTANTIATE_TEST_SUITE_P(Ks, SmacBucketProperty,
 // or the EI reduction shows as a new digest. The spaces match
 // RandomForestGoldenTest's. The constants were recorded from the
 // per-node index-vector forest fit and must not be edited to make a
-// change pass.
+// change pass. They assume libstdc++'s distributions and shuffle and
+// glibc's sin (the test objective).
 SearchSpace Bucketized16() {
   std::vector<SearchDim> dims;
   for (int j = 0; j < 16; ++j) {

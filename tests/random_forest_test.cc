@@ -223,9 +223,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RfVarianceProperty, ::testing::Range(1, 7));
 // row repeats an earlier x with a fresh y (duplicate rows), and the
 // constant-y case fits y = 0.7 everywhere (not a binary fraction, so
 // leaf means and split scores carry rounding that depends on which
-// rows each node holds, and in which order). The constants were recorded
-// from the per-node index-vector fit and must not be edited to make a
-// change pass.
+// rows each node holds, and in which order). The constants were
+// recorded from the per-node index-vector fit and must not be edited to
+// make a change pass. They assume libstdc++'s distributions and shuffle
+// and glibc's sin (the test objective).
 SearchSpace Bucketized16() {
   std::vector<SearchDim> dims;
   for (int j = 0; j < 16; ++j) {
