@@ -14,6 +14,9 @@
 //   forest_fit[]    — SMAC's RandomForest::Fit at d in {16, 90} (the
 //                     v9.6 catalog's llamatune and identity spaces) and
 //                     n in {50, 100}: median and p90 ms over 100 fits
+//   ddpg_observe[]  — DdpgOptimizer::Observe (one training round) at
+//                     default options over the same two spaces: median
+//                     and p90 ms over 100 Observes after warm-up
 //
 // Usage: bm_hotpath [--max-n=N] (default 200; lower for smoke runs)
 
@@ -37,6 +40,7 @@
 #include "src/model/gp.h"
 #include "src/model/kernels.h"
 #include "src/model/random_forest.h"
+#include "src/optimizer/ddpg.h"
 #include "src/optimizer/random_search.h"
 #include "src/optimizer/search_space.h"
 #include "src/sampling/uniform.h"
@@ -384,6 +388,51 @@ ForestFitRow TimeForestFit(const char* adapter_key, int n) {
   return row;
 }
 
+// ---------------------------------------------------------------------------
+// Part 4: DDPG Observe (its minibatch training round).
+// ---------------------------------------------------------------------------
+
+struct DdpgObserveRow {
+  int d = 0;
+  double median_ms = 0.0;
+  double p90_ms = 0.0;
+};
+
+// Times DdpgOptimizer::Observe with the default options (20 minibatch
+// updates of 32 per Observe) on the adapter's search space, fed
+// uniform metrics and a synthetic objective. The first 40 Observes fill
+// the replay buffer past the training threshold and are not timed;
+// the next 100 are (so ten samples lie beyond the reported p90).
+DdpgObserveRow TimeDdpgObserve(const char* adapter_key) {
+  constexpr int kWarmup = 40;
+  constexpr int kReps = 100;
+  ConfigSpace catalog = dbsim::PostgresV96Catalog();
+  std::unique_ptr<SpaceAdapter> adapter =
+      std::move(AdapterRegistry::Global().Create(adapter_key, &catalog, 5))
+          .ValueOrDie();
+  DdpgOptions options;
+  DdpgOptimizer ddpg(adapter->search_space(), options, 7);
+  Rng env(4243);
+  std::vector<double> ms;
+  for (int r = 0; r < kWarmup + kReps; ++r) {
+    std::vector<double> point = ddpg.Suggest();
+    std::vector<double> metrics(options.state_dim);
+    for (double& m : metrics) m = env.Uniform(0.0, 2.0);
+    ddpg.ObserveMetrics(metrics);
+    double value = SyntheticObjective(point);
+    double t0 = NowSeconds();
+    ddpg.Observe(point, value);
+    double t1 = NowSeconds();
+    if (r >= kWarmup) ms.push_back((t1 - t0) * 1e3);
+  }
+  std::sort(ms.begin(), ms.end());
+  DdpgObserveRow row;
+  row.d = adapter->search_space().num_dims();
+  row.median_ms = ms[ms.size() / 2];
+  row.p90_ms = ms[ms.size() * 9 / 10 - 1];  // nearest rank
+  return row;
+}
+
 }  // namespace
 }  // namespace llamatune
 
@@ -468,6 +517,12 @@ int main(int argc, char** argv) {
     for (int n : {50, 100}) forest_rows.push_back(TimeForestFit(key, n));
   }
 
+  std::printf("[hotpath] DDPG observes...\n");
+  std::vector<DdpgObserveRow> ddpg_rows;
+  for (const char* key : {"llamatune", "identity"}) {
+    ddpg_rows.push_back(TimeDdpgObserve(key));
+  }
+
   int cores = ThreadPool::DefaultThreads();
   FILE* json = std::fopen("BENCH_hotpath.json", "w");
   if (json == nullptr) {
@@ -535,6 +590,15 @@ int main(int argc, char** argv) {
                  forest_rows[i].p90_ms,
                  i + 1 < forest_rows.size() ? "," : "");
   }
+  std::fprintf(json, "  ],\n");
+  std::fprintf(json, "  \"ddpg_observe\": [\n");
+  for (size_t i = 0; i < ddpg_rows.size(); ++i) {
+    std::fprintf(json,
+                 "    {\"d\": %d, \"observe_ms\": %.4f, "
+                 "\"observe_ms_p90\": %.4f}%s\n",
+                 ddpg_rows[i].d, ddpg_rows[i].median_ms, ddpg_rows[i].p90_ms,
+                 i + 1 < ddpg_rows.size() ? "," : "");
+  }
   std::fprintf(json, "  ]\n");
   std::fprintf(json, "}\n");
   std::fclose(json);
@@ -562,6 +626,10 @@ int main(int argc, char** argv) {
     std::printf("[hotpath] forest fit d=%2d n=%3d  median %.3f ms  "
                 "p90 %.3f ms\n",
                 row.d, row.n, row.median_ms, row.p90_ms);
+  }
+  for (const DdpgObserveRow& row : ddpg_rows) {
+    std::printf("[hotpath] ddpg observe d=%2d  median %.3f ms  p90 %.3f ms\n",
+                row.d, row.median_ms, row.p90_ms);
   }
   std::printf("[hotpath] wrote BENCH_hotpath.json\n");
   return 0;

@@ -7,7 +7,8 @@ Usage:
 Handles the three bench formats, keyed by their "bench" field:
 
 * ``hotpath`` (BENCH_hotpath.json) — wall-clock metrics only, including
-  the random-forest fit rows (median ms per d and n).
+  the random-forest fit rows (median ms per d and n) and the DDPG
+  Observe rows (median ms per d).
 * ``batch`` (BENCH_batch.json) — per-(optimizer, batch size) series:
   sample-efficiency metrics (``mean_evals_to_fallback_best``, lower is
   better — deterministic for fixed seeds, so any drift is a real
@@ -30,6 +31,13 @@ Handles the three bench formats, keyed by their "bench" field:
   so mismatched settings fail to intersect instead of comparing
   incomparable numbers.
 
+Wall-clock metrics are compared only between runs on the same number
+of cores. When the current run's ``hardware_cores`` differs from the
+baseline's, those rows are reported as "not comparable" instead of
+judged; deterministic metrics are compared regardless. A baseline row
+may carry its own ``hardware_cores`` (rows added later, measured on
+other hardware than the rest of the file); it overrides the file's.
+
 Surfaces regressions beyond the threshold in the GitHub Actions job
 summary ($GITHUB_STEP_SUMMARY) and as ::warning:: annotations. Always
 exits 0: CI runners have noisy wall clocks, so the check reports trends
@@ -50,7 +58,9 @@ def load(path):
 
 def collect_hotpath_metrics(doc):
     """Flattens the wall-clock fields of BENCH_hotpath.json into
-    {metric_name: seconds}."""
+    {metric_name: (value, cores)}: seconds or ms, and the row's own
+    hardware_cores if it records one, else the file's."""
+    cores = doc.get("hardware_cores")
     metrics = {}
     for entry in doc.get("fit_predict", []):
         n = entry.get("n")
@@ -66,10 +76,16 @@ def collect_hotpath_metrics(doc):
     for field in ("batch1_seconds", "batch8_seconds"):
         if field in batch:
             metrics[f"batch.{field}"] = batch[field]
+    metrics = {name: (value, cores) for name, value in metrics.items()}
     for entry in doc.get("forest_fit", []):
         if "fit_ms" in entry:
             metrics[f"forest_fit.fit_ms[d={entry.get('d')},"
-                    f"n={entry.get('n')}]"] = entry["fit_ms"]
+                    f"n={entry.get('n')}]"] = (
+                entry["fit_ms"], entry.get("hardware_cores", cores))
+    for entry in doc.get("ddpg_observe", []):
+        if "observe_ms" in entry:
+            metrics[f"ddpg_observe.observe_ms[d={entry.get('d')}]"] = (
+                entry["observe_ms"], entry.get("hardware_cores", cores))
     return metrics
 
 
@@ -186,17 +202,21 @@ def collect_racing_metrics(doc):
 
 
 def collect_metrics(doc):
-    """Returns {metric_name: (value, deterministic)}."""
-    if doc.get("bench") == "batch":
-        return collect_batch_metrics(doc)
-    if doc.get("bench") == "racing":
-        return collect_racing_metrics(doc)
-    if doc.get("bench") == "largen":
-        return collect_largen_metrics(doc)
-    if doc.get("bench") == "service":
-        return collect_service_metrics(doc)
-    return {name: (value, False)
-            for name, value in collect_hotpath_metrics(doc).items()}
+    """Returns {metric_name: (value, deterministic, cores)}; cores is
+    None when the bench does not record it."""
+    collectors = {
+        "batch": collect_batch_metrics,
+        "racing": collect_racing_metrics,
+        "largen": collect_largen_metrics,
+        "service": collect_service_metrics,
+    }
+    collector = collectors.get(doc.get("bench"))
+    if collector is None:
+        return {name: (value, False, cores) for name, (value, cores)
+                in collect_hotpath_metrics(doc).items()}
+    cores = doc.get("hardware_cores")
+    return {name: (value, deterministic, cores)
+            for name, (value, deterministic) in collector(doc).items()}
 
 
 def main():
@@ -223,17 +243,25 @@ def main():
 
     rows = []
     regressions = []
-    for name, (base_value, deterministic) in sorted(baseline.items()):
+    not_comparable = 0
+    for name, (base_value, deterministic, base_cores) in \
+            sorted(baseline.items()):
         cur_entry = current.get(name)
         if cur_entry is None or base_value <= 0:
             continue
-        cur_value = cur_entry[0]
+        cur_value, _, cur_cores = cur_entry
         ratio = cur_value / base_value
         # Deterministic metrics tolerate only float-formatting jitter;
-        # wall-clock metrics use the (noisy-CI) threshold.
+        # wall-clock metrics use the (noisy-CI) threshold, and only on
+        # the same core count: other hardware is not a regression.
         limit = DETERMINISTIC_THRESHOLD if deterministic else threshold
         flag = ""
-        if ratio > 1.0 + limit:
+        if (not deterministic and base_cores is not None
+                and cur_cores is not None and base_cores != cur_cores):
+            flag = (f"not comparable (baseline {base_cores} cores, "
+                    f"current {cur_cores})")
+            not_comparable += 1
+        elif ratio > 1.0 + limit:
             flag = "REGRESSION (deterministic)" if deterministic \
                 else "REGRESSION"
             regressions.append((name, base_value, cur_value, ratio))
@@ -257,6 +285,11 @@ def main():
         lines.append(
             f"No metric regressed more than {threshold:.0%} "
             "against the committed baseline.")
+    if not_comparable:
+        lines.append("")
+        lines.append(f"{not_comparable} wall-clock metric(s) were measured "
+                     "on a different core count than the baseline and are "
+                     "not compared.")
     lines.append("")
     lines.append("| metric | baseline | current | ratio | |")
     lines.append("|---|---|---|---|---|")

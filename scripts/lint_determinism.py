@@ -2,7 +2,7 @@
 """Determinism lint: ban constructs that silently break bit-for-bit pins.
 
 Usage:
-    lint_determinism.py [path ...]      (default: src/)
+    lint_determinism.py [path ...]      (default: src/ and CMakeLists.txt)
     lint_determinism.py --list-rules
 
 The repo's headline guarantees — multi-session service runs identical
@@ -45,6 +45,16 @@ Rules (see docs/static-analysis.md for the rationale table):
   raw-thread      std::thread outside src/common/sync.h and the
                   ThreadPool — ad-hoc threads dodge the pool's
                   determinism contract (one index, one executor).
+  unsafe-fp-flag  (build files: CMakeLists.txt, *.cmake) -ffast-math,
+                  -Ofast, -funsafe-math-optimizations,
+                  -fassociative-math, -freciprocal-math, or
+                  -ffp-contract= other than off — each lets the compiler
+                  re-round arithmetic, which changes results and breaks
+                  every golden pin at once. -fno-math-errno stays
+                  allowed: it changes no result.
+
+Source rules apply to C++ files and the build rule to build files;
+a directory root is walked for both kinds.
 
 Escape hatch: a finding is suppressed when the offending line, or the
 line directly above it, carries `lint:allow(<rule>)` in a comment.
@@ -150,10 +160,27 @@ RULES = [
         "allow": ("src/common/sync.h", "src/common/thread_pool."),
         "why": "ad-hoc threads bypass the ThreadPool determinism contract",
     },
+    {
+        "name": "unsafe-fp-flag",
+        "build": True,
+        "pattern": re.compile(
+            r"-ffast-math|-Ofast\b|-funsafe-math-optimizations"
+            r"|-fassociative-math|-freciprocal-math|/fp:fast"
+            r"|-ffp-contract=(?!off\b)"
+        ),
+        "allow": (),
+        "why": "value-changing FP flags break every golden pin",
+    },
 ]
 
 ALLOW_RE = re.compile(r"lint:allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 SOURCE_EXTENSIONS = (".cc", ".h", ".cpp", ".hpp", ".cxx")
+BUILD_EXTENSIONS = (".cmake",)
+
+
+def is_build_file(path):
+    return (os.path.basename(path) == "CMakeLists.txt"
+            or path.endswith(BUILD_EXTENSIONS))
 
 
 def allowed_rules(line):
@@ -210,9 +237,24 @@ def strip_comments(line, in_block_comment):
     return "".join(out), in_block_comment
 
 
+def strip_build_comment(line):
+    """Removes a CMake `#` comment (a `#` inside a quoted argument is
+    argument text)."""
+    in_string = False
+    for i, ch in enumerate(line):
+        if ch == '"' and (i == 0 or line[i - 1] != "\\"):
+            in_string = not in_string
+        elif ch == "#" and not in_string:
+            return line[:i]
+    return line
+
+
 def applicable_rules(rel_path):
+    build = is_build_file(rel_path)
     rules = []
     for rule in RULES:
+        if rule.get("build", False) != build:
+            continue
         only = rule.get("only")
         if only and not rel_path.startswith(only):
             continue
@@ -243,7 +285,10 @@ def lint_file(path, rel_path):
         # (this line's marker or the previous line's both apply).
         line_allows = allowed_rules(raw) | previous_allows
         previous_allows = allowed_rules(raw)
-        code, in_block = strip_comments(raw, in_block)
+        if is_build_file(rel_path):
+            code = strip_build_comment(raw)
+        else:
+            code, in_block = strip_comments(raw, in_block)
         if not code.strip():
             continue
         for rule in rules:
@@ -262,7 +307,8 @@ def iter_source_files(roots):
             continue
         for dirpath, _, filenames in os.walk(root):
             for filename in sorted(filenames):
-                if filename.endswith(SOURCE_EXTENSIONS):
+                if filename.endswith(SOURCE_EXTENSIONS) or \
+                        is_build_file(filename):
                     yield os.path.join(dirpath, filename)
 
 
@@ -275,7 +321,7 @@ def main(argv):
     if any(arg.startswith("-") for arg in args):
         print(__doc__, file=sys.stderr)
         return 2
-    roots = args or ["src"]
+    roots = args or ["src", "CMakeLists.txt"]
     for root in roots:
         if not os.path.exists(root):
             print(f"lint_determinism: no such path: {root}", file=sys.stderr)

@@ -47,7 +47,7 @@ class EndToEndTest(unittest.TestCase):
     @classmethod
     def setUpClass(cls):
         cls.returncode, cls.findings, cls.proc = run_linter(
-            ["src"], cwd=FIXTURE_REPO)
+            ["src", "CMakeLists.txt", "cmake"], cwd=FIXTURE_REPO)
 
     def test_findings_exit_nonzero(self):
         self.assertEqual(self.returncode, 1, self.proc.stdout)
@@ -62,8 +62,23 @@ class EndToEndTest(unittest.TestCase):
             ("src/core/trial.cc", "stream-parser"),
             ("src/bad_mutex.cc", "raw-mutex"),
             ("src/bad_thread.cc", "raw-thread"),
+            ("CMakeLists.txt", "unsafe-fp-flag"),
+            ("cmake/contract.cmake", "unsafe-fp-flag"),
         }
         self.assertEqual(expected, self.findings, self.proc.stdout)
+
+    def test_build_flags_trip_only_on_value_changing_lines(self):
+        # CMakeLists.txt lines 1-2 are comments naming the flags, 5-6
+        # set -ffp-contract=off and -fno-math-errno, 7-8 are the bad ones.
+        flagged = {int(match.group("line"))
+                   for match in map(FINDING_RE.match,
+                                    self.proc.stdout.splitlines())
+                   if match and match.group("path") == "CMakeLists.txt"}
+        self.assertEqual({7, 8}, flagged, self.proc.stdout)
+
+    def test_clean_build_file_passes(self):
+        files = {path for path, _ in self.findings}
+        self.assertNotIn("cmake/clean.cmake", files)
 
     def test_every_rule_has_a_fixture(self):
         tripped = {rule for _, rule in self.findings}
@@ -109,7 +124,8 @@ class RealTreeTest(unittest.TestCase):
 
     def test_repo_src_is_clean(self):
         repo_root = os.path.dirname(SCRIPTS_DIR)
-        returncode, findings, proc = run_linter(["src"], cwd=repo_root)
+        returncode, findings, proc = run_linter(
+            ["src", "CMakeLists.txt"], cwd=repo_root)
         self.assertEqual(returncode, 0,
                          f"determinism lint regressions:\n{proc.stdout}")
         self.assertEqual(findings, set())
@@ -145,6 +161,17 @@ class StripCommentsTest(unittest.TestCase):
     def test_escaped_quote_does_not_end_string(self):
         code, _ = self.strip(r'const char* s = "say \" // not comment";')
         self.assertIn("not comment", code)
+
+
+class StripBuildCommentTest(unittest.TestCase):
+    def test_hash_comment_removed(self):
+        self.assertEqual(
+            lint_determinism.strip_build_comment("set(X 1) # -Ofast"),
+            "set(X 1) ")
+
+    def test_hash_inside_string_is_content(self):
+        line = 'set(X "a # b -ffast-math")'
+        self.assertEqual(lint_determinism.strip_build_comment(line), line)
 
 
 class AllowMarkerTest(unittest.TestCase):
@@ -208,6 +235,29 @@ class RulePatternTest(unittest.TestCase):
         self.assertIn("src/core/trial.", lint_determinism.SERDE_PATHS)
         self.assertNotIn("src/core/session_log.",
                          lint_determinism.SERDE_PATHS)
+
+    def test_value_changing_fp_flags_trip(self):
+        for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                     "-fassociative-math", "-freciprocal-math",
+                     "-ffp-contract=fast", "-ffp-contract=on"):
+            self.assertIsNotNone(
+                self.pattern("unsafe-fp-flag").search(
+                    f"add_compile_options({flag})"), flag)
+
+    def test_result_preserving_fp_flags_pass(self):
+        for flag in ("-ffp-contract=off", "-fno-math-errno", "-fno-fast-math",
+                     "-fno-associative-math", "-O2"):
+            self.assertIsNone(
+                self.pattern("unsafe-fp-flag").search(
+                    f"add_compile_options({flag})"), flag)
+
+    def test_build_rule_applies_only_to_build_files(self):
+        def names(path):
+            return {rule["name"]
+                    for rule in lint_determinism.applicable_rules(path)}
+        self.assertEqual(names("CMakeLists.txt"), {"unsafe-fp-flag"})
+        self.assertEqual(names("cmake/flags.cmake"), {"unsafe-fp-flag"})
+        self.assertNotIn("unsafe-fp-flag", names("src/nn/adam.cc"))
 
     def test_thread_member_is_raw_thread(self):
         self.assertIsNotNone(

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "src/common/lanes.h"
+
 namespace llamatune {
 
 void Matrix::Grow(int rows, int cols, double fill) {
@@ -223,34 +225,6 @@ void TriangularSolveLowerMulti(const Matrix& l, Matrix* b) {
 
 namespace {
 
-// Eight independent lanes. Only lane-wise arithmetic is applied, so each
-// lane rounds exactly like the scalar expression it replaces; the
-// compiler lowers the type to whatever vector width the target has.
-// Lanes are passed by pointer or reference, never by value: a by-value
-// vector argument's calling convention depends on that width.
-constexpr int kLanes = 8;
-typedef double Lanes __attribute__((vector_size(kLanes * sizeof(double))));
-
-/// Loads `count` <= kLanes doubles from `p` into `v`; the other lanes
-/// keep their value. The whole-vector case is split out so that it
-/// compiles to one vector move rather than a variable-length copy.
-void LoadLanes(const double* p, int count, Lanes* v) {
-  if (count == kLanes) {
-    std::memcpy(v, p, sizeof(*v));
-  } else {
-    std::memcpy(v, p, static_cast<size_t>(count) * sizeof(double));
-  }
-}
-
-/// Stores the first `count` <= kLanes lanes of `v` to `p`.
-void StoreLanes(const Lanes& v, int count, double* p) {
-  if (count == kLanes) {
-    std::memcpy(p, &v, sizeof(v));
-  } else {
-    std::memcpy(p, &v, static_cast<size_t>(count) * sizeof(double));
-  }
-}
-
 /// Copy of `m` (or of its transpose) whose column count is rounded up
 /// to a multiple of kLanes, the extra columns zero, so every lane
 /// group of a row can be loaded whole.
@@ -325,8 +299,8 @@ Matrix MultiplyTransposedAddBias(const Matrix& x, const Matrix& w,
   Matrix y(x.rows(), w.rows());
   AccumulateProductPacked(x, PackLanes(w, /*transpose=*/true), &y);
   for (int i = 0; i < y.rows(); ++i) {
-    double* y_i = y.Row(i);
-    for (int r = 0; r < y.cols(); ++r) y_i[r] += b[r];
+    MapLanes(b, y.Row(i), y.cols(),
+             [](const Lanes& bias, Lanes* y_i) { *y_i += bias; });
   }
   return y;
 }

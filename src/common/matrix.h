@@ -127,7 +127,8 @@ void TriangularSolveLowerMulti(const Matrix& l, Matrix* b);
 /// never across a reduction, so with FP contraction off (the build
 /// pins -ffp-contract=off) a result is bit-for-bit the plain
 /// per-sample loop and does not depend on the SIMD width.
-/// TriangularSolveLowerMulti makes the same promise.
+/// TriangularSolveLowerMulti makes the same promise. The elementwise
+/// passes around these kernels keep the contract in src/common/lanes.h.
 /// @{
 
 /// Y = X W^T + b: Y(i, r) = (sum_c X(i, c) W(r, c)) + b[r], with `b`

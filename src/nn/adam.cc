@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "src/common/lanes.h"
+
 namespace llamatune {
 
 void AdamOptimizer::Register(std::vector<double>* params,
@@ -16,18 +18,31 @@ void AdamOptimizer::Register(std::vector<double>* params,
 
 void AdamOptimizer::Step() {
   ++t_;
-  double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+  const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  // Locals: stores through the pointers below cannot alias them.
+  const double b1 = beta1_, b2 = beta2_, c1 = 1.0 - beta1_,
+               c2 = 1.0 - beta2_, lr = lr_, eps = eps_;
   for (Slot& slot : slots_) {
-    std::vector<double>& p = *slot.params;
-    const std::vector<double>& g = *slot.grads;
-    for (size_t i = 0; i < p.size(); ++i) {
-      slot.m[i] = beta1_ * slot.m[i] + (1.0 - beta1_) * g[i];
-      slot.v[i] = beta2_ * slot.v[i] + (1.0 - beta2_) * g[i] * g[i];
-      double m_hat = slot.m[i] / bias1;
-      double v_hat = slot.v[i] / bias2;
-      p[i] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
-    }
+    double* p = slot.params->data();
+    const double* g = slot.grads->data();
+    double* m = slot.m.data();
+    double* v = slot.v.data();
+    ForEachLaneGroup(slot.params->size(), [&](size_t i, auto count) {
+      Lanes gl = {}, ml = {}, vl = {}, pl = {};
+      LoadLanes(g + i, count, &gl);
+      LoadLanes(m + i, count, &ml);
+      LoadLanes(v + i, count, &vl);
+      LoadLanes(p + i, count, &pl);
+      ml = b1 * ml + c1 * gl;
+      vl = b2 * vl + c2 * gl * gl;
+      Lanes m_hat = ml / bias1, v_hat = vl / bias2, root = {};
+      for (int k = 0; k < kLanes; ++k) root[k] = std::sqrt(v_hat[k]);
+      pl -= lr * m_hat / (root + eps);
+      StoreLanes(ml, count, m + i);
+      StoreLanes(vl, count, v + i);
+      StoreLanes(pl, count, p + i);
+    });
   }
 }
 

@@ -1,6 +1,9 @@
 #include "src/nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
+
+#include "src/common/lanes.h"
 
 namespace llamatune {
 
@@ -27,8 +30,8 @@ void LinearLayer::Backward(const Matrix& x, const Matrix& grad_out,
 }
 
 void LinearLayer::ZeroGrad() {
-  for (double& v : dw_.data()) v = 0.0;
-  for (double& v : db_) v = 0.0;
+  std::fill(dw_.data().begin(), dw_.data().end(), 0.0);
+  std::fill(db_.begin(), db_.end(), 0.0);
 }
 
 void TanhForward(Matrix* h) {
@@ -40,24 +43,22 @@ void TanhForward(Matrix* h) {
 
 void TanhBackward(const Matrix& y, Matrix* grad) {
   for (int i = 0; i < y.rows(); ++i) {
-    const double* y_i = y.Row(i);
-    double* g_i = grad->Row(i);
-    for (int c = 0; c < y.cols(); ++c) g_i[c] *= 1.0 - y_i[c] * y_i[c];
+    MapLanes(y.Row(i), grad->Row(i), y.cols(),
+             [](const Lanes& y_i, Lanes* g_i) { *g_i *= 1.0 - y_i * y_i; });
   }
 }
 
 void ReluForward(Matrix* h) {
   for (int i = 0; i < h->rows(); ++i) {
-    double* row = h->Row(i);
-    for (int c = 0; c < h->cols(); ++c) row[c] = row[c] > 0.0 ? row[c] : 0.0;
+    MapLanes(h->Row(i), h->Row(i), h->cols(),
+             [](const Lanes& x, Lanes* h_i) { KeepWherePositive(x, h_i); });
   }
 }
 
 void ReluBackward(const Matrix& y, Matrix* grad) {
   for (int i = 0; i < y.rows(); ++i) {
-    const double* y_i = y.Row(i);
-    double* g_i = grad->Row(i);
-    for (int c = 0; c < y.cols(); ++c) g_i[c] = y_i[c] > 0.0 ? g_i[c] : 0.0;
+    MapLanes(y.Row(i), grad->Row(i), y.cols(),
+             [](const Lanes& y_i, Lanes* g_i) { KeepWherePositive(y_i, g_i); });
   }
 }
 

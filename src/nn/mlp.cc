@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/common/lanes.h"
+
 namespace llamatune {
 
 Mlp::Mlp(int in_dim, std::vector<int> hidden_dims, int out_dim,
@@ -89,17 +91,15 @@ void Mlp::RegisterParams(AdamOptimizer* adam) {
 }
 
 void Mlp::SoftUpdateFrom(const Mlp& source, double tau) {
+  const double keep = 1.0 - tau;
+  auto blend = [&](const std::vector<double>& src, std::vector<double>* dst) {
+    MapLanes(src.data(), dst->data(), dst->size(),
+             [&](const Lanes& s, Lanes* d) { *d = tau * s + keep * *d; });
+  };
   for (size_t i = 0; i < linears_.size(); ++i) {
-    auto& dst_w = linears_[i]->weights().data();
-    const auto& src_w = source.linears_[i]->weights().data();
-    for (size_t k = 0; k < dst_w.size(); ++k) {
-      dst_w[k] = tau * src_w[k] + (1.0 - tau) * dst_w[k];
-    }
-    auto& dst_b = linears_[i]->bias();
-    const auto& src_b = source.linears_[i]->bias();
-    for (size_t k = 0; k < dst_b.size(); ++k) {
-      dst_b[k] = tau * src_b[k] + (1.0 - tau) * dst_b[k];
-    }
+    blend(source.linears_[i]->weights().data(),
+          &linears_[i]->weights().data());
+    blend(source.linears_[i]->bias(), &linears_[i]->bias());
   }
 }
 

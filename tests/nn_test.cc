@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -278,6 +281,275 @@ TEST_P(MlpGradCheck, BatchedBackwardEqualsSampleAtATimeBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MlpGradCheck, ::testing::Range(1, 7));
+
+// ---------------------------------------------------------------------------
+// Elementwise contract (src/common/lanes.h): every lane pass against the
+// scalar loop it replaced, written out here, bit for bit. The lengths
+// put whole lane groups, short tails and both together in play.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kContractLengths[] = {1, 7, 8, 9, 17, 6992};
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// Bits must match, except that two NaNs always match: which of two NaN
+// operands a product propagates depends on the operand order the
+// compiler picks, which IEEE 754 leaves open.
+void ExpectSameBits(const double* got, const double* want, size_t count,
+                    const std::string& where, bool any_nan = false) {
+  for (size_t k = 0; k < count; ++k) {
+    if (any_nan && std::isnan(got[k]) && std::isnan(want[k])) continue;
+    ASSERT_EQ(Bits(got[k]), Bits(want[k]))
+        << where << " element " << k << ": " << got[k] << " vs " << want[k];
+  }
+}
+
+// Values spread over many binades, with about half the elements drawn
+// from -0.0, +0.0, NaN, +-Inf, subnormals and +-1 instead.
+double SpecialOrSpread(Rng* rng) {
+  const double kSpecial[] = {-0.0,
+                             0.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             -std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             1e-310,
+                             -1e-310,
+                             1.0,
+                             -1.0};
+  constexpr int kCount = sizeof(kSpecial) / sizeof(kSpecial[0]);
+  if (rng->Uniform() < 0.5) return kSpecial[rng->UniformInt(0, kCount - 1)];
+  return rng->Uniform(-1.0, 1.0) *
+         std::ldexp(1.0, static_cast<int>(rng->UniformInt(-30, 30)));
+}
+
+// A rows x cols matrix of SpecialOrSpread values. With `padded`, the
+// matrix is grown from a narrower shape so its stride exceeds cols,
+// and the padding holds a sentinel the passes must not touch.
+Matrix SpecialMatrix(int rows, int cols, bool padded, Rng* rng) {
+  Matrix m(rows, padded ? cols - 1 : cols);
+  if (padded) {
+    m.ResizePreserve(rows, cols);
+    std::fill(m.data().begin(), m.data().end(), 12345.0);
+  }
+  for (int i = 0; i < rows; ++i) {
+    for (int c = 0; c < cols; ++c) m.at(i, c) = SpecialOrSpread(rng);
+  }
+  return m;
+}
+
+// Checks that the cells between cols() and the row pitch of a padded
+// SpecialMatrix still hold the sentinel.
+void ExpectPaddingUntouched(const Matrix& m) {
+  ASSERT_GE(m.rows(), 2);
+  int stride = static_cast<int>(m.Row(1) - m.Row(0));
+  ASSERT_GT(stride, m.cols());
+  for (int i = 0; i < m.rows(); ++i) {
+    for (int c = m.cols(); c < stride; ++c) {
+      ASSERT_EQ(m.Row(i)[c], 12345.0) << "row " << i << " col " << c;
+    }
+  }
+}
+
+struct Shape {
+  int rows;
+  int cols;
+  bool padded;
+};
+
+std::vector<Shape> ContractShapes() {
+  std::vector<Shape> shapes;
+  for (size_t n : kContractLengths) {
+    shapes.push_back({1, static_cast<int>(n), false});
+  }
+  for (int cols : {64, 16, 1}) shapes.push_back({32, cols, false});
+  shapes.push_back({5, 17, true});
+  return shapes;
+}
+
+std::string Where(const char* pass, const Shape& shape, int row) {
+  return std::string(pass) + " " + std::to_string(shape.rows) + "x" +
+         std::to_string(shape.cols) + (shape.padded ? " padded" : "") +
+         " row " + std::to_string(row);
+}
+
+TEST(ElementwiseContractTest, ReluForwardMatchesScalarSelect) {
+  Rng rng(11);
+  for (const Shape& shape : ContractShapes()) {
+    Matrix h = SpecialMatrix(shape.rows, shape.cols, shape.padded, &rng);
+    std::vector<double> before = h.data();
+    ReluForward(&h);
+    for (int i = 0; i < shape.rows; ++i) {
+      std::vector<double> want(h.Row(i), h.Row(i) + shape.cols);
+      const double* x = before.data() + (h.Row(i) - h.data().data());
+      for (int c = 0; c < shape.cols; ++c) want[c] = x[c] > 0.0 ? x[c] : 0.0;
+      ExpectSameBits(h.Row(i), want.data(), want.size(),
+                     Where("relu", shape, i));
+    }
+    if (shape.padded) ExpectPaddingUntouched(h);
+  }
+}
+
+TEST(ElementwiseContractTest, ReluBackwardMatchesScalarSelect) {
+  Rng rng(12);
+  for (const Shape& shape : ContractShapes()) {
+    Matrix y = SpecialMatrix(shape.rows, shape.cols, shape.padded, &rng);
+    Matrix g = SpecialMatrix(shape.rows, shape.cols, shape.padded, &rng);
+    Matrix want = g;
+    for (int i = 0; i < shape.rows; ++i) {
+      for (int c = 0; c < shape.cols; ++c) {
+        want.at(i, c) = y.at(i, c) > 0.0 ? g.at(i, c) : 0.0;
+      }
+    }
+    ReluBackward(y, &g);
+    for (int i = 0; i < shape.rows; ++i) {
+      ExpectSameBits(g.Row(i), want.Row(i), shape.cols,
+                     Where("relu'", shape, i));
+    }
+    if (shape.padded) ExpectPaddingUntouched(g);
+  }
+}
+
+TEST(ElementwiseContractTest, TanhBackwardMatchesScalarProduct) {
+  Rng rng(13);
+  for (const Shape& shape : ContractShapes()) {
+    Matrix y = SpecialMatrix(shape.rows, shape.cols, shape.padded, &rng);
+    Matrix g = SpecialMatrix(shape.rows, shape.cols, shape.padded, &rng);
+    Matrix want = g;
+    for (int i = 0; i < shape.rows; ++i) {
+      for (int c = 0; c < shape.cols; ++c) {
+        want.at(i, c) *= 1.0 - y.at(i, c) * y.at(i, c);
+      }
+    }
+    TanhBackward(y, &g);
+    for (int i = 0; i < shape.rows; ++i) {
+      ExpectSameBits(g.Row(i), want.Row(i), shape.cols,
+                     Where("tanh'", shape, i), /*any_nan=*/true);
+    }
+    if (shape.padded) ExpectPaddingUntouched(g);
+  }
+}
+
+// The scalar Adam update, one element at a time.
+struct ScalarAdam {
+  double lr = 1e-3, beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+  long t = 0;
+
+  void Step(std::vector<double>* p, const std::vector<double>& g,
+            std::vector<double>* m, std::vector<double>* v) const {
+    double bias1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+    double bias2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+    for (size_t i = 0; i < p->size(); ++i) {
+      (*m)[i] = beta1 * (*m)[i] + (1.0 - beta1) * g[i];
+      (*v)[i] = beta2 * (*v)[i] + (1.0 - beta2) * g[i] * g[i];
+      double m_hat = (*m)[i] / bias1;
+      double v_hat = (*v)[i] / bias2;
+      (*p)[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+    }
+  }
+};
+
+TEST(ElementwiseContractTest, AdamStepMatchesScalarUpdate) {
+  const size_t kSizes[] = {1, 7, 8, 9, 6992};
+  constexpr int kArrays = sizeof(kSizes) / sizeof(kSizes[0]);
+  Rng rng(14);
+  std::vector<std::vector<double>> params(kArrays), grads(kArrays);
+  AdamOptimizer adam;
+  for (int a = 0; a < kArrays; ++a) {
+    params[a].resize(kSizes[a]);
+    grads[a].resize(kSizes[a]);
+    for (double& p : params[a]) p = rng.Uniform(-1.0, 1.0);
+    adam.Register(&params[a], &grads[a]);
+  }
+  std::vector<std::vector<double>> want = params, m(kArrays), v(kArrays);
+  for (int a = 0; a < kArrays; ++a) {
+    m[a].assign(kSizes[a], 0.0);
+    v[a].assign(kSizes[a], 0.0);
+  }
+  ScalarAdam scalar;
+  for (int step = 0; step < 5; ++step) {
+    // Steps 0 and 3 see all-zero gradients: the first one leaves both
+    // moments at zero, so the update divides 0 by eps.
+    bool zero = step == 0 || step == 3;
+    for (auto& g : grads) {
+      for (double& x : g) {
+        x = zero ? 0.0
+                 : rng.Uniform(-1.0, 1.0) *
+                       std::ldexp(1.0, static_cast<int>(
+                                           rng.UniformInt(-30, 10)));
+      }
+    }
+    adam.Step();
+    ++scalar.t;
+    for (int a = 0; a < kArrays; ++a) {
+      scalar.Step(&want[a], grads[a], &m[a], &v[a]);
+      ExpectSameBits(params[a].data(), want[a].data(), kSizes[a],
+                     "adam size " + std::to_string(kSizes[a]) + " step " +
+                         std::to_string(step));
+    }
+  }
+}
+
+TEST(ElementwiseContractTest, SoftUpdateMatchesScalarBlend) {
+  // Mlp builds its layers from the Rng in order, so layers built the
+  // same way from the same seed are a replica of its parameters.
+  const int kIn = 6, kOut = 3;
+  const std::vector<int> kHidden = {17, 9};
+  auto replica = [&](uint64_t seed) {
+    Rng rng(seed);
+    std::vector<LinearLayer> layers;
+    int prev = kIn;
+    for (int h : kHidden) {
+      layers.emplace_back(prev, h, &rng);
+      prev = h;
+    }
+    layers.emplace_back(prev, kOut, &rng);
+    return layers;
+  };
+  auto run = [&](std::vector<LinearLayer>& layers, const Matrix& x) {
+    Matrix h = x;
+    for (size_t i = 0; i < layers.size(); ++i) {
+      h = layers[i].Forward(h);
+      if (i + 1 < layers.size()) ReluForward(&h);
+    }
+    TanhForward(&h);
+    return h;
+  };
+  auto blend = [](const std::vector<double>& src, double tau,
+                  std::vector<double>* dst) {
+    for (size_t k = 0; k < dst->size(); ++k) {
+      (*dst)[k] = tau * src[k] + (1.0 - tau) * (*dst)[k];
+    }
+  };
+  Rng data(15);
+  Matrix x(32, kIn);
+  for (double& v : x.data()) v = data.Uniform(-1.0, 1.0);
+  for (double tau : {0.01, 1.0}) {
+    Rng rng_src(21), rng_dst(22);
+    Mlp source(kIn, kHidden, kOut, OutputActivation::kTanh, &rng_src);
+    Mlp target(kIn, kHidden, kOut, OutputActivation::kTanh, &rng_dst);
+    std::vector<LinearLayer> want_src = replica(21), want = replica(22);
+    ASSERT_TRUE(SameBits(target.Forward(x), run(want, x)));
+    for (int round = 0; round < 3; ++round) {
+      target.SoftUpdateFrom(source, tau);
+      for (size_t i = 0; i < want.size(); ++i) {
+        blend(want_src[i].weights().data(), tau, &want[i].weights().data());
+        blend(want_src[i].bias(), tau, &want[i].bias());
+      }
+      EXPECT_TRUE(SameBits(target.Forward(x), run(want, x)))
+          << "tau " << tau << " round " << round;
+    }
+    if (tau == 1.0) {
+      EXPECT_TRUE(SameBits(target.Forward(x), source.Forward(x)));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace llamatune
